@@ -1220,17 +1220,13 @@ mod tests {
         let events = dir.join("events.jsonl");
         let timeline_path = dir.join("timeline.json");
         let report_path = dir.join("obs_report.json");
-        // Force a real pool: on a single-core host the parallel regions
-        // would otherwise run inline and never spawn worker threads.
-        rayon::set_threads(2);
-        let result = profile(&opts(&format!(
-            "-w grep_sp --scale tiny --seed 5 --events {} --timeline {} --report {}",
+        let obs_args = format!(
+            "--events {} --timeline {} --report {}",
             events.display(),
             timeline_path.display(),
             report_path.display()
-        )));
-        rayon::set_threads(0);
-        result.unwrap();
+        );
+        profile(&opts(&format!("-w grep_sp --scale tiny --seed 5 {obs_args}"))).unwrap();
 
         // Event log: meta header first, then span and unit-closed records.
         let log = std::fs::read_to_string(&events).unwrap();
@@ -1240,10 +1236,20 @@ mod tests {
         assert!(log.contains("span_open"), "event log records span opens");
         assert!(log.contains("unit_closed"), "event log records closed units");
 
-        // Timeline: Chrome-trace JSON with slices on at least one worker tid.
+        // Timeline: Chrome-trace JSON with begin slices.
         let tl = std::fs::read_to_string(&timeline_path).unwrap();
         assert!(tl.contains("traceEvents"));
         assert!(tl.contains("\"B\""), "timeline has begin slices");
+
+        // A tiny profile builds and simulates on the calling thread, so the
+        // worker slices come from `run`, whose analysis uses the pool.
+        // Force a real pool: on a single-core host the parallel regions
+        // would otherwise run inline and never spawn worker threads.
+        rayon::set_threads(2);
+        let result = run_workload(&opts(&format!("-w grep_sp --scale tiny --seed 5 {obs_args}")));
+        rayon::set_threads(0);
+        result.unwrap();
+        let tl = std::fs::read_to_string(&timeline_path).unwrap();
         assert!(tl.contains("worker-"), "timeline names a worker thread");
 
         // The run report carries the worker span off the driver thread.

@@ -177,8 +177,12 @@ where
 /// partition's slice of `region`, so passes over partitions larger than a
 /// cache level miss in it and passes over small partitions hit — the
 /// mechanism behind the paper's non-homogeneous sort phases. Leaf partitions
-/// (`≤ LEAF` elements) are insertion-sorted and batched into combined
-/// low-footprint items to bound the trace length.
+/// (`≤ LEAF` elements) are sorted, costed as insertion sorts, and batched
+/// into combined low-footprint items to bound the trace length.
+///
+/// # Panics
+///
+/// Panics when `data` holds more than `u32::MAX` elements.
 pub fn quicksort_trace<T: Ord>(
     data: &mut [T],
     elem_bytes: u64,
@@ -209,6 +213,8 @@ pub fn quicksort_trace<T: Ord>(
         *pending = 0;
     };
 
+    assert!(u32::try_from(data.len()).is_ok(), "quicksort_trace sorts at most u32::MAX elements");
+    let (mut left, mut right) = (Vec::new(), Vec::new());
     let mut stack: Vec<(usize, usize)> = vec![(0, data.len())];
     while let Some((lo, hi)) = stack.pop() {
         let s = hi - lo;
@@ -216,7 +222,8 @@ pub fn quicksort_trace<T: Ord>(
             continue;
         }
         if s <= LEAF {
-            insertion_sort(&mut data[lo..hi]);
+            // Stable, so equal elements keep their input order.
+            data[lo..hi].sort();
             pending_leaf_instrs += s as u64 * costs::SORT_LEAF * 2;
             if pending_leaf_instrs >= LEAF_FLUSH {
                 flush_leaves(&mut pending_leaf_instrs, &mut items, &mut emitted);
@@ -240,7 +247,7 @@ pub fn quicksort_trace<T: Ord>(
 
         // After partitioning, the pivot sits in its final position `p`:
         // recurse strictly left and right of it.
-        let p = partition(data, lo, hi);
+        let p = lo + partition(&mut data[lo..hi], &mut left, &mut right);
         // Process the left side next (LIFO): recursion descends into smaller
         // pieces after each big pass, reproducing the time-varying footprint.
         stack.push((p + 1, hi));
@@ -250,59 +257,71 @@ pub fn quicksort_trace<T: Ord>(
     items
 }
 
-fn insertion_sort<T: Ord>(a: &mut [T]) {
-    for i in 1..a.len() {
-        let mut j = i;
-        while j > 0 && a[j] < a[j - 1] {
-            a.swap(j, j - 1);
-            j -= 1;
-        }
-    }
-}
-
 /// Hoare partition with median-of-three pivot. Returns `p` such that
-/// `data[lo..=p] <= data[p+1..hi]` element-wise.
-fn partition<T: Ord>(data: &mut [T], lo: usize, hi: usize) -> usize {
-    let mid = lo + (hi - lo) / 2;
-    let last = hi - 1;
-    // Median-of-three into `lo`.
-    if data[mid] < data[lo] {
-        data.swap(mid, lo);
+/// `v[..=p] <= v[p+1..]` element-wise, with the pivot at `v[p]`.
+///
+/// The classic two-cursor loop — the left cursor stops at elements `>=` the
+/// pivot, the right cursor at elements `<=` it, the two are swapped, and
+/// the scan repeats until the cursors cross — is computed here without its
+/// data-dependent branches. Its m-th swap always exchanges the m-th left
+/// stop with the m-th right stop of the *unswapped* slice, as long as the
+/// left stop lies before the right one, so one branch-free pass that lists
+/// both kinds of stop determines every swap and the crossing point.
+/// `left` and `right` are scratch buffers, reused across calls.
+fn partition<T: Ord>(v: &mut [T], left: &mut Vec<u32>, right: &mut Vec<u32>) -> usize {
+    let n = v.len();
+    let mid = n / 2;
+    let last = n - 1;
+    // Median-of-three into `v[0]`.
+    if v[mid] < v[0] {
+        v.swap(mid, 0);
     }
-    if data[last] < data[lo] {
-        data.swap(last, lo);
+    if v[last] < v[0] {
+        v.swap(last, 0);
     }
-    if data[last] < data[mid] {
-        data.swap(last, mid);
+    if v[last] < v[mid] {
+        v.swap(last, mid);
     }
-    data.swap(lo, mid); // pivot to front
-    let mut i = lo;
-    let mut j = hi;
-    loop {
-        loop {
-            i += 1;
-            if i >= hi || data[i] >= data[lo] {
-                break;
-            }
+    v.swap(0, mid); // pivot to front
+
+    left.resize(n, 0);
+    right.resize(n, 0);
+    let (mut nl, mut nr) = (0, 0);
+    let (pivot, rest) = v.split_first().expect("partition of an empty slice");
+    let (left_stops, right_stops) = (&mut left[..n], &mut right[..n]);
+    for (pos, x) in (1u32..).zip(rest) {
+        left_stops[nl] = pos;
+        nl += usize::from(x >= pivot);
+        right_stops[nr] = pos;
+        nr += usize::from(x <= pivot);
+    }
+    // Left stops in ascending order, right stops in descending order.
+    let mut swaps = 0;
+    for (&l, &r) in left[..nl].iter().zip(right[..nr].iter().rev()) {
+        if l >= r {
+            break;
         }
-        loop {
-            j -= 1;
-            if data[j] <= data[lo] {
-                break;
-            }
-        }
-        if i >= j {
-            data.swap(lo, j);
-            return j;
-        }
-        data.swap(i, j);
+        v.swap(l as usize, r as usize);
+        swaps += 1;
     }
+    // The right cursor ends at its next stop, or at the last swapped left
+    // stop if that comes first, or at the pivot slot if neither exists.
+    let next_right = if swaps < nr { right[nr - 1 - swaps] } else { 0 };
+    let last_left = if swaps > 0 { left[swaps - 1] } else { 0 };
+    let p = next_right.max(last_left) as usize;
+    v.swap(0, p);
+    p
 }
 
 /// K-way merges sorted runs into one sorted vector, emitting cost items per
 /// merged chunk. The k advancing read frontiers stream through the runs'
 /// combined region once, so the pattern is a (prefetch-friendly) sequential
 /// walk of the whole region.
+///
+/// Equal elements come out in run order, as a merge that always takes the
+/// smallest head (the earliest run on ties) emits them. A stable sort of
+/// the runs' concatenation gives exactly that order, and it finds the runs
+/// already sorted and only merges them.
 pub fn kway_merge<T: Ord + Clone>(
     runs: &[Vec<T>],
     elem_bytes: u64,
@@ -311,53 +330,25 @@ pub fn kway_merge<T: Ord + Clone>(
     seed: u64,
 ) -> (Vec<T>, Vec<WorkItem>) {
     const CHUNK: usize = 8_192;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let k = runs.iter().filter(|r| !r.is_empty()).count().max(1);
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heap: BinaryHeap<Reverse<(T, usize, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(ri, r)| Reverse((r[0].clone(), ri, 0)))
-        .collect();
-
-    let mut out = Vec::with_capacity(total);
-    let mut items = Vec::new();
+    let mut out = runs.concat();
+    out.sort();
     let per_elem = costs::MERGE_BASE
         + costs::MERGE_LOG * (k as u64).next_power_of_two().trailing_zeros() as u64;
-    let mut since_item = 0usize;
-    let mut emitted = 0u64;
-    while let Some(Reverse((v, ri, pos))) = heap.pop() {
-        out.push(v);
-        if pos + 1 < runs[ri].len() {
-            heap.push(Reverse((runs[ri][pos + 1].clone(), ri, pos + 1)));
-        }
-        since_item += 1;
-        if since_item == CHUNK {
-            items.push(WorkItem::compute(
+    let items = out
+        .chunks(CHUNK)
+        .enumerate()
+        .map(|(i, chunk)| {
+            WorkItem::compute(
                 path.clone(),
-                since_item as u64 * per_elem,
+                chunk.len() as u64 * per_elem,
                 costs::MERGE_APKI,
                 AccessPattern::Sequential,
                 region,
-                seed.wrapping_add(emitted),
-            ));
-            emitted += 1;
-            since_item = 0;
-        }
-    }
-    if since_item > 0 {
-        items.push(WorkItem::compute(
-            path.clone(),
-            since_item as u64 * per_elem,
-            costs::MERGE_APKI,
-            AccessPattern::Sequential,
-            region,
-            seed.wrapping_add(emitted),
-        ));
-    }
+                seed.wrapping_add(i as u64),
+            )
+        })
+        .collect();
     let _ = elem_bytes;
     (out, items)
 }
@@ -447,6 +438,198 @@ mod tests {
         let mut sorted: Vec<u64> = (0..3000).collect();
         quicksort_trace(&mut sorted, 8, region(3000 * 8), path(), 1);
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// The kernels' previous forms: the insertion-sorted leaves and the
+    /// two-cursor Hoare partition of `quicksort_trace`, which must move data
+    /// exactly as they did or its partition sizes (and so its items) would
+    /// change, and the binary-heap `kway_merge`.
+    mod reference {
+        use super::super::*;
+
+        pub fn insertion_sort<T: Ord>(a: &mut [T]) {
+            for i in 1..a.len() {
+                let mut j = i;
+                while j > 0 && a[j] < a[j - 1] {
+                    a.swap(j, j - 1);
+                    j -= 1;
+                }
+            }
+        }
+
+        pub fn partition<T: Ord>(data: &mut [T], lo: usize, hi: usize) -> usize {
+            let mid = lo + (hi - lo) / 2;
+            let last = hi - 1;
+            if data[mid] < data[lo] {
+                data.swap(mid, lo);
+            }
+            if data[last] < data[lo] {
+                data.swap(last, lo);
+            }
+            if data[last] < data[mid] {
+                data.swap(last, mid);
+            }
+            data.swap(lo, mid);
+            let mut i = lo;
+            let mut j = hi;
+            loop {
+                loop {
+                    i += 1;
+                    if i >= hi || data[i] >= data[lo] {
+                        break;
+                    }
+                }
+                loop {
+                    j -= 1;
+                    if data[j] <= data[lo] {
+                        break;
+                    }
+                }
+                if i >= j {
+                    data.swap(lo, j);
+                    return j;
+                }
+                data.swap(i, j);
+            }
+        }
+
+        pub fn kway_merge<T: Ord + Clone>(
+            runs: &[Vec<T>],
+            region: Region,
+            path: Vec<MethodId>,
+            seed: u64,
+        ) -> (Vec<T>, Vec<WorkItem>) {
+            const CHUNK: usize = 8_192;
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+
+            let k = runs.iter().filter(|r| !r.is_empty()).count().max(1);
+            let total: usize = runs.iter().map(Vec::len).sum();
+            let mut heap: BinaryHeap<Reverse<(T, usize, usize)>> = runs
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| !r.is_empty())
+                .map(|(ri, r)| Reverse((r[0].clone(), ri, 0)))
+                .collect();
+            let mut out = Vec::with_capacity(total);
+            let mut items = Vec::new();
+            let per_elem = costs::MERGE_BASE
+                + costs::MERGE_LOG * (k as u64).next_power_of_two().trailing_zeros() as u64;
+            let mut since_item = 0usize;
+            let mut emitted = 0u64;
+            while let Some(Reverse((v, ri, pos))) = heap.pop() {
+                out.push(v);
+                if pos + 1 < runs[ri].len() {
+                    heap.push(Reverse((runs[ri][pos + 1].clone(), ri, pos + 1)));
+                }
+                since_item += 1;
+                if since_item == CHUNK {
+                    items.push(WorkItem::compute(
+                        path.clone(),
+                        since_item as u64 * per_elem,
+                        costs::MERGE_APKI,
+                        AccessPattern::Sequential,
+                        region,
+                        seed.wrapping_add(emitted),
+                    ));
+                    emitted += 1;
+                    since_item = 0;
+                }
+            }
+            if since_item > 0 {
+                items.push(WorkItem::compute(
+                    path.clone(),
+                    since_item as u64 * per_elem,
+                    costs::MERGE_APKI,
+                    AccessPattern::Sequential,
+                    region,
+                    seed.wrapping_add(emitted),
+                ));
+            }
+            (out, items)
+        }
+    }
+
+    #[test]
+    fn kway_merge_equals_the_reference_heap_merge() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let tags = |v: &[Tagged]| -> Vec<usize> { v.iter().map(|t| t.tag).collect() };
+        for case in 0..300 {
+            let k = case % 9;
+            let range = [1u64, 4, 100, u64::MAX][case % 4];
+            let mut tag = 0;
+            let runs: Vec<Vec<Tagged>> = (0..k)
+                .map(|_| {
+                    let len = rng.random_range(0..[5usize, 300, 9_000][case % 3]);
+                    let mut run: Vec<Tagged> = (0..len)
+                        .map(|_| {
+                            tag += 1;
+                            Tagged { key: rng.random_range(0..range), tag }
+                        })
+                        .collect();
+                    run.sort();
+                    run
+                })
+                .collect();
+            let (out, items) = kway_merge(&runs, 16, region(1 << 20), path(), 4);
+            let (want, want_items) = reference::kway_merge(&runs, region(1 << 20), path(), 4);
+            assert_eq!(tags(&out), tags(&want), "case {case}");
+            assert_eq!(items, want_items, "case {case}");
+        }
+    }
+
+    #[test]
+    fn sort_kernels_move_data_exactly_like_the_reference() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let tags = |v: &[Tagged]| -> Vec<usize> { v.iter().map(|t| t.tag).collect() };
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for case in 0..2_000 {
+            let len = 2 + case % 300;
+            // Key ranges from all-equal to nearly distinct, so runs of
+            // duplicates of every length meet the pivot.
+            let range = [1u64, 3, 16, len as u64, u64::MAX][case % 5];
+            let data: Vec<Tagged> =
+                (0..len).map(|tag| Tagged { key: rng.random_range(0..range), tag }).collect();
+
+            let (mut a, mut b) = (data.clone(), data.clone());
+            let pa = partition(&mut a, &mut left, &mut right);
+            let pb = reference::partition(&mut b, 0, len);
+            assert_eq!((pa, tags(&a)), (pb, tags(&b)), "partition, case {case}");
+
+            if len <= 48 {
+                let (mut a, mut b) = (data.clone(), data);
+                a.sort();
+                reference::insertion_sort(&mut b);
+                assert_eq!(tags(&a), tags(&b), "leaf sort, case {case}");
+            }
+        }
+    }
+
+    /// A key with a tag that ordering ignores, so the tags show where equal
+    /// keys end up.
+    #[derive(Debug, Clone, Copy)]
+    struct Tagged {
+        key: u64,
+        tag: usize,
+    }
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl Eq for Tagged {}
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
     }
 
     #[test]

@@ -22,6 +22,9 @@ use crate::synth::text::{LabeledCorpus, TextSynth};
 
 /// Number of document classes.
 pub const CLASSES: usize = 4;
+// Training aggregates `(class, word)` keys, which sort like the shuffled
+// `"class:word"` strings only while every class is a single digit.
+const _: () = assert!(CLASSES < 10, "class keys must stay single-digit");
 const ENTRY_BYTES: u64 = 56;
 const BATCH: usize = 4_096;
 /// Instructions per token scored during classification.
@@ -32,34 +35,70 @@ fn corpus(cfg: &WorkloadConfig) -> LabeledCorpus {
     LabeledCorpus::generate(&synth, CLASSES, cfg.text_bytes / 2, cfg.sub_seed(5))
 }
 
-/// The trained model: `(class, word-hash) → count` plus per-class totals.
-#[derive(Debug, Clone, Default)]
+/// The trained model: per word hash, the Laplace-smoothed per-class
+/// log-likelihoods derived from the `(class, word-hash)` counts and the
+/// per-class totals.
+#[derive(Debug, Clone)]
 pub struct BayesModel {
-    counts: HashMap<(usize, u64), i64>,
-    class_tokens: [i64; CLASSES],
-    class_docs: [i64; CLASSES],
+    /// Distinct `(class, word-hash)` pairs seen in training.
+    entries: usize,
+    /// Per-class log prior.
+    priors: [f64; CLASSES],
+    /// Per-class smoothed log-likelihood of a word never seen in training.
+    unseen: [f64; CLASSES],
+    /// `word-hash → per-class smoothed log-likelihood` for every trained
+    /// word hash: one lookup scores a token for all classes.
+    table: HashMap<u64, [f64; CLASSES]>,
 }
 
 impl BayesModel {
-    fn observe(&mut self, class: usize, word: &str) {
-        *self.counts.entry((class, fnv1a(word))).or_insert(0) += 1;
-        self.class_tokens[class] += 1;
+    /// Trains the model on labelled documents: counts per word hash and
+    /// class, then turns each count row into smoothed log-likelihoods.
+    fn train(docs: &[(usize, String)]) -> Self {
+        let mut counts: HashMap<u64, [i64; CLASSES]> = HashMap::new();
+        let mut class_tokens = [0i64; CLASSES];
+        let mut class_docs = [0i64; CLASSES];
+        for &(class, ref line) in docs {
+            class_docs[class] += 1;
+            for w in line.split_whitespace() {
+                counts.entry(fnv1a(w)).or_insert([0; CLASSES])[class] += 1;
+                class_tokens[class] += 1;
+            }
+        }
+        let entries = counts.values().flatten().filter(|&&n| n > 0).count();
+        let total_docs = class_docs.iter().sum::<i64>().max(1);
+        let vocab = entries as f64 + 1.0;
+        let denom: [f64; CLASSES] = std::array::from_fn(|c| class_tokens[c] as f64 + vocab);
+        let loglik = |c: usize, count: i64| ((count as f64 + 1.0) / denom[c]).ln();
+        let priors =
+            std::array::from_fn(|c| (class_docs[c].max(1) as f64 / total_docs as f64).ln());
+        let unseen = std::array::from_fn(|c| loglik(c, 0));
+        let table = counts
+            .into_iter()
+            .map(|(hash, row)| (hash, std::array::from_fn(|c| loglik(c, row[c]))))
+            .collect();
+        Self { entries, priors, unseen, table }
+    }
+
+    /// Per-class log-likelihood of a document (maximum-likelihood scores
+    /// with Laplace smoothing): the prior, then one smoothed term per token
+    /// in document order.
+    fn scores(&self, doc: &str) -> [f64; CLASSES] {
+        let mut scores = self.priors;
+        for w in doc.split_whitespace() {
+            let row = self.table.get(&fnv1a(w)).unwrap_or(&self.unseen);
+            for (s, l) in scores.iter_mut().zip(row) {
+                *s += l;
+            }
+        }
+        scores
     }
 
     /// Classifies a document by maximum log-likelihood with Laplace
     /// smoothing.
     pub fn classify(&self, doc: &str) -> usize {
-        let total_docs: i64 = self.class_docs.iter().sum::<i64>().max(1);
-        let vocab = self.counts.len() as f64 + 1.0;
         let mut best = (0usize, f64::NEG_INFINITY);
-        for c in 0..CLASSES {
-            let prior = (self.class_docs[c].max(1) as f64 / total_docs as f64).ln();
-            let denom = self.class_tokens[c] as f64 + vocab;
-            let mut score = prior;
-            for w in doc.split_whitespace() {
-                let count = self.counts.get(&(c, fnv1a(w))).copied().unwrap_or(0);
-                score += ((count as f64 + 1.0) / denom).ln();
-            }
+        for (c, &score) in self.scores(doc).iter().enumerate() {
             if score > best.1 {
                 best = (c, score);
             }
@@ -69,25 +108,18 @@ impl BayesModel {
 
     /// Model table size (distinct `(class, word)` entries).
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.entries
     }
 
     /// Whether the model is empty.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.entries == 0
     }
 }
 
-/// Trains the real model (shared by both frameworks' builders).
-fn train(docs: &[(usize, String)]) -> BayesModel {
-    let mut model = BayesModel::default();
-    for &(class, ref line) in docs {
-        model.class_docs[class] += 1;
-        for w in line.split_whitespace() {
-            model.observe(class, w);
-        }
-    }
-    model
+/// The shuffled key of a `(class, word)` training pair: `"class:word"`.
+fn shuffle_key((class, word): (usize, &str)) -> String {
+    format!("{class}:{word}")
 }
 
 /// Classification items for one partition of documents: a streaming scan
@@ -137,12 +169,12 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
     let predict_fn = reg.intern("org.bigdatabench.bayes.NaiveBayesModel.predict", OpClass::Map);
 
     let corpus = corpus(cfg);
-    let model = train(&corpus.docs);
+    let model = BayesModel::train(&corpus.docs);
     let model_region = machine.alloc(model.len() as u64 * ENTRY_BYTES);
     let ranges = partition_ranges(corpus.docs.len(), cfg.partitions);
 
     // Stage 0: tokenize + map-side combine of (class:word, 1).
-    let mut reducer_inputs: Vec<Vec<(String, i64)>> = vec![Vec::new(); cfg.reducers];
+    let mut reducer_inputs: Vec<Vec<((usize, &str), i64)>> = vec![Vec::new(); cfg.reducers];
     let mut map_tasks = Vec::with_capacity(ranges.len());
     for (p, &(lo, hi)) in ranges.iter().enumerate() {
         let docs = &corpus.docs[lo..hi];
@@ -155,7 +187,7 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
             ops::tokenize(&lines, vec![sm.map_partitions_with_index, emit_fn], in_region, seed);
         items.push(tok_item.with_io_stall(cfg.hdfs.read_stall(bytes)));
         let pairs = docs.iter().flat_map(|&(class, ref line)| {
-            line.split_whitespace().map(move |w| (format!("{class}:{w}"), 1i64))
+            line.split_whitespace().map(move |w| ((class, w), 1i64))
         });
         let (combined, combine_items) = ops::hash_combine(
             pairs,
@@ -178,7 +210,7 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
             seed,
         ));
         for (k, v) in combined {
-            reducer_inputs[route(&k, cfg.reducers)].push((k, v));
+            reducer_inputs[route(&shuffle_key(k), cfg.reducers)].push((k, v));
         }
         map_tasks.push(Task::new(sm.shuffle_map_base(), items));
     }
@@ -263,7 +295,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     let score_mapper = reg.intern("org.bigdatabench.bayes.ScoreMapper.map", OpClass::Map);
 
     let corpus = corpus(cfg);
-    let model = train(&corpus.docs);
+    let model = BayesModel::train(&corpus.docs);
     let model_region = machine.alloc(model.len() as u64 * ENTRY_BYTES);
     let ranges = partition_ranges(corpus.docs.len(), cfg.partitions);
 
@@ -300,7 +332,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         ));
         // Combine.
         let pairs = docs.iter().flat_map(|&(class, ref line)| {
-            line.split_whitespace().map(move |w| (format!("{class}:{w}"), 1i64))
+            line.split_whitespace().map(move |w| ((class, w), 1i64))
         });
         let (combined, combine_items) = ops::hash_combine(
             pairs,
@@ -323,6 +355,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         ));
         let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
         for (k, _) in combined {
+            let k = shuffle_key(k);
             let r = route(&k, cfg.reducers);
             per_r[r].push(fnv1a(&k));
             count_per_reducer[r] += 1;
@@ -431,13 +464,67 @@ mod tests {
     fn model_learns_classes() {
         let cfg = WorkloadConfig::tiny(23);
         let corpus = corpus(&cfg);
-        let model = train(&corpus.docs);
+        let model = BayesModel::train(&corpus.docs);
         assert!(!model.is_empty());
         // Training-set accuracy should beat chance (25 %) comfortably —
         // the class-marker vocabulary makes classes learnable.
         let correct = corpus.docs.iter().filter(|&&(c, ref l)| model.classify(l) == c).count();
         let acc = correct as f64 / corpus.docs.len() as f64;
         assert!(acc > 0.5, "accuracy {acc}");
+    }
+
+    /// The scoring formula the table replaced, written out: per class, the
+    /// log prior plus one Laplace-smoothed term per token, with the
+    /// `(class, word-hash)` counts and the totals recounted from the
+    /// training documents.
+    fn reference_scorer(docs: &[(usize, String)]) -> impl Fn(&str) -> [f64; CLASSES] {
+        let mut counts: HashMap<(usize, u64), i64> = HashMap::new();
+        let mut class_tokens = [0i64; CLASSES];
+        let mut class_docs = [0i64; CLASSES];
+        for &(class, ref line) in docs {
+            class_docs[class] += 1;
+            for w in line.split_whitespace() {
+                *counts.entry((class, fnv1a(w))).or_insert(0) += 1;
+                class_tokens[class] += 1;
+            }
+        }
+        let total_docs: i64 = class_docs.iter().sum::<i64>().max(1);
+        let vocab = counts.len() as f64 + 1.0;
+        move |doc| {
+            std::array::from_fn(|c| {
+                let prior = (class_docs[c].max(1) as f64 / total_docs as f64).ln();
+                let denom = class_tokens[c] as f64 + vocab;
+                let mut score = prior;
+                for w in doc.split_whitespace() {
+                    let count = counts.get(&(c, fnv1a(w))).copied().unwrap_or(0);
+                    score += ((count as f64 + 1.0) / denom).ln();
+                }
+                score
+            })
+        }
+    }
+
+    #[test]
+    fn table_scores_equal_the_reference_formula_bit_for_bit() {
+        let cfg = WorkloadConfig::tiny(23);
+        let corpus = corpus(&cfg);
+        let model = BayesModel::train(&corpus.docs);
+        let reference = reference_scorer(&corpus.docs);
+        let unseen = ["", "qqq", "qqq zzz", &format!("qqq {}", corpus.docs[0].1)];
+        let docs = corpus.docs.iter().map(|(_, l)| l.as_str()).chain(unseen);
+        for doc in docs {
+            let expected = reference(doc);
+            let got = model.scores(doc);
+            assert_eq!(got.map(f64::to_bits), expected.map(f64::to_bits), "doc {doc:?}");
+            // The label is the first class with the strictly highest score.
+            let mut best = 0;
+            for c in 1..CLASSES {
+                if expected[c] > expected[best] {
+                    best = c;
+                }
+            }
+            assert_eq!(model.classify(doc), best, "doc {doc:?}");
+        }
     }
 
     #[test]

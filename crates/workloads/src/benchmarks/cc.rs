@@ -20,7 +20,10 @@ use simprof_engine::spark::SparkMethods;
 use simprof_engine::{ops, Job, MethodRegistry, OpClass, Stage, Task, WorkItem};
 use simprof_sim::{AccessPattern, Machine, Region};
 
-use super::{hdfs_write_item, mark_shuffle_fetch, overlap_stall, partition_ranges, spill_item};
+use super::{
+    hdfs_write_item, mark_shuffle_fetch, overlap_stall, partition_owners, partition_ranges,
+    spill_item,
+};
 use crate::config::WorkloadConfig;
 use crate::synth::kronecker::{GraphInput, Kronecker, SynthGraph};
 
@@ -77,10 +80,7 @@ pub fn undirected(g: &SynthGraph) -> SynthGraph {
 /// supersteps.
 pub fn propagate(und: &SynthGraph, partitions: usize, cap: usize) -> CcRun {
     let n = und.n;
-    let ranges = partition_ranges(n, partitions);
-    let part_of = |v: usize| -> usize {
-        ranges.iter().position(|&(lo, hi)| v >= lo && v < hi).expect("vertex in some partition")
-    };
+    let part_of = partition_owners(n, partitions);
     let mut labels: Vec<u32> = (0..n as u32).collect();
     let mut active: Vec<bool> = vec![true; n];
     let mut supersteps = Vec::new();
@@ -96,11 +96,11 @@ pub fn propagate(und: &SynthGraph, partitions: usize, cap: usize) -> CcRun {
                 continue;
             }
             any_active = true;
-            let p = part_of(v);
+            let p = part_of[v];
             for &t in und.neighbors(v) {
                 edges_from[p] += 1;
                 targets_from[p].push(t as u64);
-                msgs_to[part_of(t as usize)] += 1;
+                msgs_to[part_of[t as usize]] += 1;
                 if labels[v] < next[t as usize] {
                     next[t as usize] = labels[v];
                 }

@@ -31,6 +31,17 @@ pub fn partition_ranges(n: usize, p: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// The owning range of each of `n` elements under
+/// [`partition_ranges(n, p)`](partition_ranges): element `i` belongs to
+/// range `owners[i]`.
+pub(crate) fn partition_owners(n: usize, p: usize) -> Vec<usize> {
+    partition_ranges(n, p)
+        .iter()
+        .enumerate()
+        .flat_map(|(r, &(lo, hi))| std::iter::repeat_n(r, hi - lo))
+        .collect()
+}
+
 /// Deterministic FNV-1a hash, used for key routing and key sorting so runs
 /// do not depend on the process's `HashMap` seed.
 pub fn fnv1a(s: &str) -> u64 {
@@ -199,6 +210,17 @@ mod tests {
             let max = r.iter().map(|&(a, b)| b - a).max().unwrap();
             let min = r.iter().map(|&(a, b)| b - a).min().unwrap();
             assert!(max - min <= 1, "near-equal split");
+        }
+    }
+
+    #[test]
+    fn partition_owners_match_ranges() {
+        for &(n, p) in &[(10usize, 3usize), (7, 7), (5, 8), (0, 4), (100, 1), (16384, 8)] {
+            let owners = partition_owners(n, p);
+            assert_eq!(owners.len(), n);
+            for (r, &(lo, hi)) in partition_ranges(n, p).iter().enumerate() {
+                assert!(owners[lo..hi].iter().all(|&o| o == r));
+            }
         }
     }
 

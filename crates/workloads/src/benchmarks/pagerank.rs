@@ -15,7 +15,7 @@ use super::cc::{
     alloc_graph_regions, graphx_superstep_stages, hadoop_superstep_stages, init_degrees_stage,
     SuperstepStats,
 };
-use super::{hdfs_write_item, partition_ranges};
+use super::{hdfs_write_item, partition_owners, partition_ranges};
 use crate::config::WorkloadConfig;
 use crate::synth::kronecker::{GraphInput, Kronecker, SynthGraph};
 
@@ -34,10 +34,7 @@ pub struct PrRun {
 /// Runs `iters` power iterations on the directed graph.
 pub fn pagerank(g: &SynthGraph, partitions: usize, iters: usize, record_targets: bool) -> PrRun {
     let n = g.n;
-    let ranges = partition_ranges(n, partitions);
-    let part_of = |v: usize| -> usize {
-        ranges.iter().position(|&(lo, hi)| v >= lo && v < hi).expect("vertex in some partition")
-    };
+    let part_of = partition_owners(n, partitions);
     let mut ranks = vec![1.0 / n as f64; n];
     let mut iterations = Vec::with_capacity(iters);
 
@@ -53,11 +50,11 @@ pub fn pagerank(g: &SynthGraph, partitions: usize, iters: usize, record_targets:
                 dangling += rank;
                 continue;
             }
-            let p = part_of(v);
+            let p = part_of[v];
             let share = DAMPING * rank / deg as f64;
             for &t in g.neighbors(v) {
                 edges_from[p] += 1;
-                msgs_to[part_of(t as usize)] += 1;
+                msgs_to[part_of[t as usize]] += 1;
                 if record_targets {
                     targets_from[p].push(t as u64);
                 }

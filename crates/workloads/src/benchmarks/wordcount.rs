@@ -70,7 +70,11 @@ fn fused_scan_combine(
         for line in chunk {
             for w in line.split_whitespace() {
                 tokens += 1;
-                *map.entry(w.to_owned()).or_insert(0) += 1;
+                if let Some(c) = map.get_mut(w) {
+                    *c += 1;
+                } else {
+                    map.insert(w.to_owned(), 1);
+                }
             }
         }
         checkpoints.push((bytes, tokens, map.len() as u64));
@@ -248,7 +252,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     // Per reducer: one sorted run of key hashes per mapper, plus the real
     // (word, count) pairs for the reduce computation.
     let mut runs_per_reducer: Vec<Vec<Vec<u64>>> = vec![Vec::new(); cfg.reducers];
-    let mut pairs_per_reducer: Vec<Vec<(String, i64)>> = vec![Vec::new(); cfg.reducers];
+    let mut pairs_per_reducer: Vec<Vec<(&str, i64)>> = vec![Vec::new(); cfg.reducers];
 
     let mut map_tasks = Vec::with_capacity(ranges.len());
     for (p, &(lo, hi)) in ranges.iter().enumerate() {
@@ -279,7 +283,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         ));
 
         // Combiner over the (sorted) pairs.
-        let pairs = tokens.iter().map(|t| (t.to_string(), 1i64));
+        let pairs = tokens.iter().map(|&t| (t, 1i64));
         let (combined, combine_items) = ops::hash_combine(
             pairs,
             |a, b| *a += b,
@@ -306,8 +310,8 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         // run per reducer.
         let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
         for (w, c) in combined {
-            let r = route(&w, cfg.reducers);
-            per_r[r].push(fnv1a(&w));
+            let r = route(w, cfg.reducers);
+            per_r[r].push(fnv1a(w));
             pairs_per_reducer[r].push((w, c));
         }
         for (r, mut run) in per_r.into_iter().enumerate() {
@@ -332,7 +336,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
 
         // The real reduce: sum counts per word (sequential over sorted runs).
         let pairs = std::mem::take(&mut pairs_per_reducer[r]);
-        let mut sums: HashMap<String, i64> = HashMap::new();
+        let mut sums: HashMap<&str, i64> = HashMap::new();
         for (w, c) in pairs {
             *sums.entry(w).or_insert(0) += c;
         }

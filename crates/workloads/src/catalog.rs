@@ -62,7 +62,7 @@ impl Benchmark {
         matches!(self, Benchmark::ConnectedComponents | Benchmark::PageRank)
     }
 
-    /// Builds the job for one framework.
+    /// Builds the job for one framework, inside a `workloads.build` span.
     pub fn build(
         self,
         framework: Framework,
@@ -70,6 +70,7 @@ impl Benchmark {
         machine: &mut Machine,
         registry: &mut MethodRegistry,
     ) -> Job {
+        let _span = simprof_obs::span!("workloads.build");
         match (self, framework) {
             (Benchmark::Sort, Framework::Spark) => sort::spark(cfg, machine, registry),
             (Benchmark::Sort, Framework::Hadoop) => sort::hadoop(cfg, machine, registry),
@@ -145,7 +146,10 @@ impl Benchmark {
         );
         let mut machine = Machine::new(cfg.machine);
         let mut registry = MethodRegistry::new();
-        let job = wordcount::spark_with_corpus(cfg, &mut machine, &mut registry, lines);
+        let job = {
+            let _span = simprof_obs::span!("workloads.build");
+            wordcount::spark_with_corpus(cfg, &mut machine, &mut registry, lines)
+        };
         let trace = profile_job(&job, cfg, &mut machine, &mut registry);
         RunOutput {
             trace,
@@ -170,22 +174,25 @@ impl Benchmark {
         assert!(self.is_graph(), "only graph benchmarks take a graph input");
         let mut machine = Machine::new(cfg.machine);
         let mut registry = MethodRegistry::new();
-        let job = match (self, framework) {
-            (Benchmark::ConnectedComponents, Framework::Spark) => {
-                let sm = SparkMethods::intern(&mut registry);
-                cc::spark_on_graph(cfg, &mut machine, &mut registry, &sm, graph)
+        let job = {
+            let _span = simprof_obs::span!("workloads.build");
+            match (self, framework) {
+                (Benchmark::ConnectedComponents, Framework::Spark) => {
+                    let sm = SparkMethods::intern(&mut registry);
+                    cc::spark_on_graph(cfg, &mut machine, &mut registry, &sm, graph)
+                }
+                (Benchmark::PageRank, Framework::Spark) => {
+                    let sm = SparkMethods::intern(&mut registry);
+                    pagerank::spark_on_graph(cfg, &mut machine, &mut registry, &sm, graph)
+                }
+                (Benchmark::ConnectedComponents, Framework::Hadoop) => {
+                    cc::hadoop_on_graph(cfg, &mut machine, &mut registry, graph)
+                }
+                (Benchmark::PageRank, Framework::Hadoop) => {
+                    pagerank::hadoop_on_graph(cfg, &mut machine, &mut registry, graph)
+                }
+                _ => unreachable!(),
             }
-            (Benchmark::PageRank, Framework::Spark) => {
-                let sm = SparkMethods::intern(&mut registry);
-                pagerank::spark_on_graph(cfg, &mut machine, &mut registry, &sm, graph)
-            }
-            (Benchmark::ConnectedComponents, Framework::Hadoop) => {
-                cc::hadoop_on_graph(cfg, &mut machine, &mut registry, graph)
-            }
-            (Benchmark::PageRank, Framework::Hadoop) => {
-                pagerank::hadoop_on_graph(cfg, &mut machine, &mut registry, graph)
-            }
-            _ => unreachable!(),
         };
         let trace = profile_job(&job, cfg, &mut machine, &mut registry);
         RunOutput {

@@ -146,18 +146,82 @@ impl Kronecker {
     /// Samples the graph. Duplicate edges and self-loops are kept (they are
     /// part of the stochastic Kronecker model and harmless to the
     /// workloads); edges are sorted into CSR.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an initiator entry is negative.
     pub fn generate(&self, seed: u64) -> SynthGraph {
         let n = 1usize << self.scale;
         let [a, b, c, d] = self.initiator;
+        assert!(self.initiator.iter().all(|&p| p >= 0.0), "initiator entries must be non-negative");
         let total = (a + b + c + d).max(f64::MIN_POSITIVE);
         let (pa, pb, pc) = (a / total, b / total, c / total);
+        // Quadrant boundaries of one level's draw: `[0, t1)` picks (0, 0),
+        // `[t1, t2)` (0, 1), `[t2, t3)` (1, 0), and the rest (1, 1). They
+        // ascend, so the quadrant is the number of boundaries at or below
+        // the draw — counted without a branch.
+        let (t1, t2, t3) = (pa, pa + pb, pa + pb + pc);
         let mut rng = seeded(split_seed(seed, 0x6B40));
 
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.edges);
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(self.edges);
         for _ in 0..self.edges {
             let mut u = 0usize;
             let mut v = 0usize;
             for _ in 0..self.scale {
+                let x: f64 = rng.random();
+                let q = usize::from(x >= t1) + usize::from(x >= t2) + usize::from(x >= t3);
+                u = (u << 1) | (q >> 1);
+                v = (v << 1) | (q & 1);
+            }
+            edges.push((u as u32, v as u32));
+        }
+
+        // CSR by counting sort on the source, then each row's targets sorted:
+        // the layout a full `(u, v)` sort gives.
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, _) in &edges {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; edges.len()];
+        for &(u, v) in &edges {
+            targets[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+        }
+        for row in offsets.windows(2) {
+            targets[row[0] as usize..row[1] as usize].sort_unstable();
+        }
+        SynthGraph { n, offsets, targets }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn generates_requested_size() {
+        let g = Kronecker::for_input(GraphInput::Google, 10, 8).generate(1);
+        assert_eq!(g.n, 1024);
+        assert_eq!(g.edge_count(), 1024 * 8);
+        assert_eq!(*g.offsets.last().unwrap() as usize, g.targets.len());
+    }
+
+    /// The generator the branchless draw and counting-sort CSR replaced: a
+    /// quadrant `if` chain per level and one sort of all `(u, v)` pairs.
+    fn reference_generate(k: &Kronecker, seed: u64) -> SynthGraph {
+        let n = 1usize << k.scale;
+        let [a, b, c, d] = k.initiator;
+        let total = (a + b + c + d).max(f64::MIN_POSITIVE);
+        let (pa, pb, pc) = (a / total, b / total, c / total);
+        let mut rng = seeded(split_seed(seed, 0x6B40));
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(k.edges);
+        for _ in 0..k.edges {
+            let (mut u, mut v) = (0usize, 0usize);
+            for _ in 0..k.scale {
                 let x: f64 = rng.random();
                 let (du, dv) = if x < pa {
                     (0, 0)
@@ -174,7 +238,6 @@ impl Kronecker {
             pairs.push((u as u32, v as u32));
         }
         pairs.sort_unstable();
-
         let mut offsets = vec![0u32; n + 1];
         for &(u, _) in &pairs {
             offsets[u as usize + 1] += 1;
@@ -185,18 +248,18 @@ impl Kronecker {
         let targets = pairs.into_iter().map(|(_, v)| v).collect();
         SynthGraph { n, offsets, targets }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
-    fn generates_requested_size() {
-        let g = Kronecker::for_input(GraphInput::Google, 10, 8).generate(1);
-        assert_eq!(g.n, 1024);
-        assert_eq!(g.edge_count(), 1024 * 8);
-        assert_eq!(*g.offsets.last().unwrap() as usize, g.targets.len());
+    fn generate_equals_the_reference_generator() {
+        for (i, input) in GraphInput::ALL.into_iter().enumerate() {
+            for (scale, degree) in [(6, 4), (10, 6), (12, 8)] {
+                let k = Kronecker::for_input(input, scale, degree);
+                let seed = 31 + i as u64;
+                let (got, want) = (k.generate(seed), reference_generate(&k, seed));
+                assert_eq!((got.n, &got.offsets), (want.n, &want.offsets), "{input:?} {scale}");
+                assert_eq!(got.targets, want.targets, "{input:?} {scale}");
+            }
+        }
     }
 
     #[test]

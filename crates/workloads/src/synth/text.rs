@@ -8,7 +8,6 @@
 //! [`LabeledCorpus`] adds per-class vocabulary bias for NaiveBayes.
 
 use rand::RngExt;
-use rayon::prelude::*;
 
 use simprof_stats::{seeded, split_seed, SeedRng};
 
@@ -23,8 +22,15 @@ pub struct TextSynth {
     pub words_per_line: usize,
     /// Cumulative distribution over ranks.
     cdf: Vec<f64>,
+    /// Guide table over `buckets = len − 1` equal slices of `[0, 1]`:
+    /// `guide[b]` counts the CDF entries below `b / buckets`, so a draw in
+    /// slice `b` starts its scan next to its answer.
+    guide: Vec<u32>,
     words: Vec<String>,
 }
+
+/// Guide-table buckets per vocabulary word.
+const GUIDE_PER_WORD: usize = 4;
 
 impl TextSynth {
     /// Builds a generator with a `vocab`-word synthetic vocabulary.
@@ -37,8 +43,18 @@ impl TextSynth {
             acc += *w / total;
             *w = acc;
         }
+        let buckets = GUIDE_PER_WORD * vocab;
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut i = 0;
+        for b in 0..=buckets {
+            let edge = b as f64 / buckets as f64;
+            while i < vocab && weights[i] < edge {
+                i += 1;
+            }
+            guide.push(u32::try_from(i).expect("vocabulary size fits in u32"));
+        }
         let words = Self::make_words(vocab, seed);
-        Self { vocab, exponent, words_per_line, cdf: weights, words }
+        Self { vocab, exponent, words_per_line, cdf: weights, guide, words }
     }
 
     /// Synthesizes a vocabulary of distinct pronounceable-ish words.
@@ -63,8 +79,26 @@ impl TextSynth {
     }
 
     fn draw_rank(&self, rng: &mut SeedRng) -> usize {
-        let x: f64 = rng.random();
-        self.cdf.partition_point(|&c| c < x).min(self.vocab - 1)
+        self.rank_of(rng.random())
+    }
+
+    /// The rank a uniform draw `x` selects: exactly
+    /// `cdf.partition_point(|&c| c < x).min(vocab − 1)`, found in O(1)
+    /// expected steps. The guide table gives a start index near the answer;
+    /// a short scan down, then up, settles on the first CDF entry `≥ x`.
+    /// Both scans only compare against the CDF, so the result does not
+    /// depend on how `x` was rounded into its bucket.
+    fn rank_of(&self, x: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        let b = ((x * buckets as f64) as usize).min(buckets);
+        let mut i = self.guide[b] as usize;
+        while i > 0 && self.cdf[i - 1] >= x {
+            i -= 1;
+        }
+        while i < self.cdf.len() && self.cdf[i] < x {
+            i += 1;
+        }
+        i.min(self.vocab - 1)
     }
 
     /// Draws one word.
@@ -80,39 +114,26 @@ impl TextSynth {
 
     /// Generates lines totalling approximately `bytes` of text.
     ///
-    /// Two passes, bit-identical to the original single-pass generator at
-    /// any worker count: pass 1 draws Zipf ranks sequentially (consuming
-    /// the RNG stream in exactly the old order) and tracks produced bytes
-    /// from the known word lengths; pass 2 assembles the rank lists into
-    /// strings in parallel (pure lookups, order preserved by the pool).
+    /// One sequential pass: each line is assembled in a scratch buffer as
+    /// its words are drawn, then copied out at its exact length; generation
+    /// stops once the lines, each counted with its newline, reach `bytes`.
     pub fn lines(&self, bytes: usize, seed: u64) -> Vec<String> {
         let mut rng = seeded(split_seed(seed, 0x11E5));
-        let mut line_ranks: Vec<Vec<usize>> = Vec::new();
+        let mut lines = Vec::new();
+        let mut line = String::new();
         let mut produced = 0usize;
         while produced < bytes {
-            let mut ranks = Vec::with_capacity(self.words_per_line);
-            let mut len = 0usize;
+            line.clear();
             for i in 0..self.words_per_line {
-                let r = self.draw_rank(&mut rng);
-                len += self.words[r].len() + usize::from(i > 0);
-                ranks.push(r);
-            }
-            produced += len + 1;
-            line_ranks.push(ranks);
-        }
-        line_ranks
-            .into_par_iter()
-            .map(|ranks| {
-                let mut line = String::with_capacity(self.words_per_line * 7);
-                for (i, &r) in ranks.iter().enumerate() {
-                    if i > 0 {
-                        line.push(' ');
-                    }
-                    line.push_str(&self.words[r]);
+                if i > 0 {
+                    line.push(' ');
                 }
-                line
-            })
-            .collect()
+                line.push_str(&self.words[self.draw_rank(&mut rng)]);
+            }
+            produced += line.len() + 1;
+            lines.push(line.clone());
+        }
+        lines
     }
 }
 
@@ -198,11 +219,12 @@ impl LabeledCorpus {
         assert!(classes > 0);
         let mut rng = seeded(split_seed(seed, 0xBA7E5));
         let mut docs = Vec::new();
+        let mut line = String::new();
         let mut produced = 0usize;
         let marker_stride = synth.vocab.div_ceil(classes).max(1);
         while produced < bytes {
             let class = rng.random_range(0..classes);
-            let mut line = String::new();
+            line.clear();
             for i in 0..synth.words_per_line {
                 if i > 0 {
                     line.push(' ');
@@ -217,7 +239,7 @@ impl LabeledCorpus {
                 }
             }
             produced += line.len() + 1;
-            docs.push((class, line));
+            docs.push((class, line.clone()));
         }
         Self { docs, classes }
     }
@@ -267,6 +289,54 @@ mod tests {
         let c = TextSynth::new(200, 1.0, 6, 7).lines(5_000, 10);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// Every `(vocab, exponent)` the benchmark builders and
+    /// [`TextInput::ALL`] synthesize with.
+    fn used_params() -> Vec<(usize, f64)> {
+        // sort, wc, grep, bayes (see `benchmarks/`).
+        let mut params = vec![(6_000, 1.05), (4_000, 1.0), (5_000, 1.0)];
+        params.extend(TextInput::ALL.iter().map(|i| (i.params().0, i.params().1)));
+        params
+    }
+
+    #[test]
+    fn guide_table_draw_equals_binary_search() {
+        // Neighbouring f64s of a positive finite value.
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for (vocab, exponent) in used_params() {
+            let s = TextSynth::new(vocab, exponent, 1, 1);
+            let reference = |x: f64| s.cdf.partition_point(|&c| c < x).min(vocab - 1);
+            let buckets = s.guide.len() - 1;
+            let mut probes = vec![0.0, 1.0, down(1.0)];
+            for b in 1..=buckets {
+                let edge = b as f64 / buckets as f64;
+                probes.extend([down(edge), edge, up(edge)]);
+            }
+            for &c in &s.cdf {
+                probes.extend([down(c), c, up(c)]);
+            }
+            // The clamp: draws at or past the last CDF entry.
+            let last = *s.cdf.last().unwrap();
+            probes.extend([last, up(last), up(up(last))]);
+            let mut rng = seeded(9);
+            probes.extend((0..20_000).map(|_| rng.random::<f64>()));
+            for x in &probes {
+                assert_eq!(s.rank_of(*x), reference(*x), "vocab {vocab}, s {exponent}, x {x:e}");
+            }
+            // The scans make the draw exact from any start index, so a
+            // guide entry off by a few ranks either way changes nothing.
+            for shift in [-3i64, 2] {
+                let mut off = s.clone();
+                for g in &mut off.guide {
+                    *g = (i64::from(*g) + shift).clamp(0, vocab as i64) as u32;
+                }
+                for x in &probes {
+                    assert_eq!(off.rank_of(*x), reference(*x), "shift {shift}, x {x:e}");
+                }
+            }
+        }
     }
 
     #[test]

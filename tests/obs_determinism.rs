@@ -47,7 +47,9 @@ fn reporting_session_does_not_perturb_the_pipeline() {
     assert_eq!(baseline, observed, "observed run must be bit-identical to the unobserved run");
 
     // The session saw every pipeline stage while changing none of them.
-    for span in ["engine.run", "core.analyze", "core.form_phases", "core.select_points"] {
+    for span in
+        ["workloads.build", "engine.run", "core.analyze", "core.form_phases", "core.select_points"]
+    {
         assert!(report.find_span(span).is_some(), "report lacks span `{span}`");
     }
     assert!(report.metrics.counters.contains_key("core.units_analyzed"));
