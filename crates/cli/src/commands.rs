@@ -8,7 +8,6 @@ use simprof_trace::{TraceMeta, TraceReader, TraceWriter};
 use simprof_workloads::{GraphInput, Kronecker, WorkloadConfig, WorkloadId};
 
 use crate::args::{Options, Scale};
-use crate::bundle::{TraceBundle, FORMAT_VERSION};
 use crate::input::TraceInput;
 
 fn workload_config(opts: &Options) -> WorkloadConfig {
@@ -100,31 +99,28 @@ fn scale_name(opts: &Options) -> String {
     }
 }
 
-/// `simprof profile -w <label> [-o trace.sptrc | -o trace.json]
+/// `simprof profile -w <label> [-o trace.sptrc] [--codec raw|lz]
 /// [--report r.json] [--events e.jsonl] [--timeline t.json]`.
 ///
-/// The output format follows the extension: a `.json` path writes the
-/// legacy monolithic [`TraceBundle`]; any other path (conventionally
-/// `.sptrc`) streams the chunked format — the trace writer is attached to
-/// the profiler as a [`UnitSink`], so units hit the disk while the engine
-/// is still running instead of being serialized in one blob afterwards.
+/// `-o` streams the `.sptrc` trace while profiling: the trace writer is
+/// attached to the profiler as a [`UnitSink`], so units hit the disk while
+/// the engine is still running instead of being serialized in one blob
+/// afterwards. `--codec` picks the per-frame codec (see
+/// `simprof_trace::codec`); the default, `raw`, stores every frame
+/// verbatim.
 ///
 /// Any of `--report`/`--events`/`--timeline` runs the profile inside an
 /// observability session: `--events` streams the JSONL event log while the
 /// engine runs, `--timeline` converts the finished span tree (including
 /// `parallel.worker` slices from the thread pool) to Chrome-trace JSON.
-///
-/// `--codec raw|lz` writes the v3 layout with per-frame compression (see
-/// `simprof_trace::codec`); without it the trace stays on the v2 layout,
-/// byte-identical to previous releases.
 pub fn profile(opts: &Options) -> Result<(), String> {
     let label = opts.require_workload("profile")?;
     let id = find_workload(label)?;
     let cfg = workload_config(opts);
     let session = obs_session(opts)?;
 
-    let streaming_out = match &opts.output {
-        Some(path) if !path.ends_with(".json") => {
+    let trace_out = match &opts.output {
+        Some(path) => {
             let meta = TraceMeta {
                 label: label.to_owned(),
                 seed: opts.seed,
@@ -133,18 +129,12 @@ pub fn profile(opts: &Options) -> Result<(), String> {
                 snapshot_instrs: cfg.profiler.snapshot_instrs,
                 core: cfg.profiler.core,
             };
-            let writer = match opts.codec {
-                None => TraceWriter::create(path, &meta)?,
-                Some(codec) => TraceWriter::create_compressed(path, &meta, codec)?,
-            };
-            Some((path.clone(), SharedSink::new(writer)))
+            let writer = TraceWriter::create_compressed(path, &meta, opts.codec)?;
+            Some((path, SharedSink::new(writer)))
         }
-        _ => None,
+        None => None,
     };
-    if opts.codec.is_some() && streaming_out.is_none() {
-        return Err("--codec requires a chunked trace output (-o <file.sptrc>)".into());
-    }
-    let sinks: Vec<Box<dyn UnitSink>> = match &streaming_out {
+    let sinks: Vec<Box<dyn UnitSink>> = match &trace_out {
         Some((_, writer)) => vec![Box::new(writer.clone())],
         None => Vec::new(),
     };
@@ -162,8 +152,8 @@ pub fn profile(opts: &Options) -> Result<(), String> {
     );
     println!("oracle CPI {:.4}", out.trace.oracle_cpi());
 
-    match (&opts.output, streaming_out) {
-        (Some(_), Some((path, writer))) => {
+    match trace_out {
+        Some((path, writer)) => {
             // Graceful degradation: a trace sink that latched an I/O error
             // (or fails while sealing the footer) must not take the profile
             // run down with it — the units also live in the manager's
@@ -171,17 +161,11 @@ pub fn profile(opts: &Options) -> Result<(), String> {
             // either way. Warn, point at salvage, and exit successfully.
             let sealed = writer.lock().finish(&out.registry);
             match sealed {
-                Ok(footer) => match opts.codec {
-                    Some(codec) => println!(
-                        "wrote {path} ({} units, chunked v3, {} codec)",
-                        footer.unit_count,
-                        codec.name()
-                    ),
-                    None => println!(
-                        "wrote {path} ({} units, chunked streaming format)",
-                        footer.unit_count
-                    ),
-                },
+                Ok(footer) => println!(
+                    "wrote {path} ({} units, {} codec)",
+                    footer.unit_count,
+                    opts.codec.name()
+                ),
                 Err(e) => {
                     let retries = writer.lock().retries();
                     eprintln!(
@@ -192,19 +176,7 @@ pub fn profile(opts: &Options) -> Result<(), String> {
                 }
             }
         }
-        (Some(path), None) => {
-            let bundle = TraceBundle {
-                version: FORMAT_VERSION,
-                label: label.to_owned(),
-                seed: opts.seed,
-                scale: scale_name(opts),
-                trace: out.trace,
-                registry: out.registry,
-            };
-            bundle.save(path)?;
-            println!("wrote {path} (legacy JSON bundle)");
-        }
-        _ => println!("(no -o/--output given; trace not saved)"),
+        None => println!("(no -o/--output given; trace not saved)"),
     }
 
     if let Some(session) = session {
@@ -221,8 +193,8 @@ pub fn profile(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof analyze -i trace.sptrc|trace.json` (format auto-detected; a
-/// chunked trace streams through the analysis without being materialized).
+/// `simprof analyze -i trace.sptrc` (the trace streams through the
+/// analysis without being materialized).
 pub fn analyze(opts: &Options) -> Result<(), String> {
     let input = TraceInput::open(opts.require_input("analyze")?)?;
     let analysis = input.analyze(&pipeline(opts))?;
@@ -250,7 +222,7 @@ pub fn analyze(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof select -i trace.sptrc|trace.json -n 20 [-o points.json]`.
+/// `simprof select -i trace.sptrc -n 20 [-o points.json]`.
 pub fn select(opts: &Options) -> Result<(), String> {
     let input = TraceInput::open(opts.require_input("select")?)?;
     let analysis = input.analyze(&pipeline(opts))?;
@@ -437,7 +409,7 @@ pub fn run_workload(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof size -i trace.sptrc|trace.json --error 0.05 [--z 3]`.
+/// `simprof size -i trace.sptrc --error 0.05 [--z 3]`.
 pub fn size(opts: &Options) -> Result<(), String> {
     let input = TraceInput::open(opts.require_input("size")?)?;
     let analysis = input.analyze(&pipeline(opts))?;
@@ -453,7 +425,7 @@ pub fn size(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof report -i trace.sptrc|trace.json` — phases with their
+/// `simprof report -i trace.sptrc` — phases with their
 /// characteristic methods.
 pub fn report(opts: &Options) -> Result<(), String> {
     let input = TraceInput::open(opts.require_input("report")?)?;
@@ -474,25 +446,26 @@ pub fn report(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof validate -i trace.json -n 6` — replay each selected simulation
+/// `simprof validate -i trace.sptrc -n 6` — replay each selected simulation
 /// point in isolation (fast-forward, cold caches, one-unit warm-up) and
 /// compare replayed CPIs against the profile — the end-to-end check that
 /// the selected points are actually simulatable.
 pub fn validate(opts: &Options) -> Result<(), String> {
-    let bundle = TraceInput::open(opts.require_input("validate")?)?.into_bundle()?;
-    let id = find_workload(&bundle.label)?;
-    let cfg = match bundle.scale.as_str() {
-        "tiny" => WorkloadConfig::tiny(bundle.seed),
-        _ => WorkloadConfig::paper(bundle.seed),
+    let input = TraceInput::open(opts.require_input("validate")?)?;
+    let trace = input.read_trace()?;
+    let id = find_workload(&input.label)?;
+    let cfg = match input.scale.as_str() {
+        "tiny" => WorkloadConfig::tiny(input.seed),
+        _ => WorkloadConfig::paper(input.seed),
     };
-    let analysis = pipeline(opts).analyze(&bundle.trace).map_err(|e| format!("analyze: {e}"))?;
+    let analysis = pipeline(opts).analyze(&trace).map_err(|e| format!("analyze: {e}"))?;
     let n = opts.points.min(8); // each replay re-runs the job
     let points = analysis.select_points(n, split_seed(opts.seed, 0x5E1E));
-    let unit_instrs = bundle.trace.unit_instrs;
+    let unit_instrs = trace.unit_instrs;
     let warmup = unit_instrs;
     println!(
         "{}: replaying {} points (cold restart, {} instruction warm-up)",
-        bundle.label,
+        input.label,
         points.len(),
         warmup
     );
@@ -517,26 +490,27 @@ pub fn validate(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof export -i trace.json -n 20 -o manifest.json` — write the
+/// `simprof export -i trace.sptrc -n 20 -o manifest.json` — write the
 /// simulation manifest a detailed simulator consumes (instruction
 /// intervals, warm-up, phase weights for re-aggregation).
 pub fn export(opts: &Options) -> Result<(), String> {
-    let bundle = TraceInput::open(opts.require_input("export")?)?.into_bundle()?;
-    let analysis = pipeline(opts).analyze(&bundle.trace).map_err(|e| format!("analyze: {e}"))?;
+    let input = TraceInput::open(opts.require_input("export")?)?;
+    let trace = input.read_trace()?;
+    let analysis = pipeline(opts).analyze(&trace).map_err(|e| format!("analyze: {e}"))?;
     let points = analysis.select_points(opts.points, split_seed(opts.seed, 0x5E1E));
-    let manifest = simprof_core::SimulationManifest::build(&analysis, &bundle.trace, &points)
+    let manifest = simprof_core::SimulationManifest::build(&analysis, &trace, &points)
         .map_err(|e| format!("export: {e}"))?;
     println!(
         "{}: {} points → {} instructions of detailed simulation ({:.1}% of the job)",
-        bundle.label,
+        input.label,
         manifest.points.len(),
         manifest.simulated_instrs(),
-        manifest.simulated_instrs() as f64 / bundle.trace.total_instrs() as f64 * 100.0
+        manifest.simulated_instrs() as f64 / trace.total_instrs() as f64 * 100.0
     );
     for p in manifest.points.iter().take(5) {
         let method = p
             .dominant_method
-            .map(|m| bundle.registry.name(MethodId(m)).to_owned())
+            .map(|m| input.registry.name(MethodId(m)).to_owned())
             .unwrap_or_else(|| "?".into());
         println!(
             "  unit {:>5}: instrs [{}, {}) warmup {} | phase {} (w {:.2}) | {}",
@@ -555,41 +529,42 @@ pub fn export(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof compare -i trace.json -n 20` — all sampling approaches on one
+/// `simprof compare -i trace.sptrc -n 20` — all sampling approaches on one
 /// trace (a single-workload Fig. 7 row).
 pub fn compare(opts: &Options) -> Result<(), String> {
     use simprof_core::{
         baselines, relative_error, second_points_by_cycles, srs_points, systematic_points,
     };
-    let bundle = TraceInput::open(opts.require_input("compare")?)?.into_bundle()?;
-    let analysis = pipeline(opts).analyze(&bundle.trace).map_err(|e| format!("analyze: {e}"))?;
+    let input = TraceInput::open(opts.require_input("compare")?)?;
+    let trace = input.read_trace()?;
+    let analysis = pipeline(opts).analyze(&trace).map_err(|e| format!("analyze: {e}"))?;
     let oracle = analysis.oracle_cpi();
     let n = opts.points;
     println!(
         "{}: oracle CPI {:.4}, {} units, {} phases",
-        bundle.label,
+        input.label,
         oracle,
-        bundle.trace.units.len(),
+        trace.units.len(),
         analysis.k()
     );
     println!("{:<12} {:>8} {:>10} {:>8}", "approach", "points", "CPI", "error");
 
-    let budget = bundle.trace.total_cycles() / 5;
-    let second = second_points_by_cycles(&bundle.trace, budget);
+    let budget = trace.total_cycles() / 5;
+    let second = second_points_by_cycles(&trace, budget);
     let reps = 20u64;
     let mut rows: Vec<(&str, usize, f64)> =
         vec![("SECOND", second.points.len(), second.predicted_cpi)];
-    let sys = systematic_points(&bundle.trace, n, 0);
+    let sys = systematic_points(&trace, n, 0);
     rows.push(("SYSTEMATIC", sys.points.len(), sys.predicted_cpi));
     let mut srs_cpi = 0.0;
     let mut sp_cpi = 0.0;
     for rep in 0..reps {
         let seed = split_seed(opts.seed, 0xC0 + rep);
-        srs_cpi += srs_points(&bundle.trace, n, seed).predicted_cpi;
-        sp_cpi += baselines::simprof_points(&analysis.model, &bundle.trace, n, seed).predicted_cpi;
+        srs_cpi += srs_points(&trace, n, seed).predicted_cpi;
+        sp_cpi += baselines::simprof_points(&analysis.model, &trace, n, seed).predicted_cpi;
     }
     rows.push(("SRS (avg)", n, srs_cpi / reps as f64));
-    let code = baselines::code_points(&analysis.model, &bundle.trace);
+    let code = baselines::code_points(&analysis.model, &trace);
     rows.push(("CODE", code.points.len(), code.predicted_cpi));
     rows.push(("SimProf (avg)", n, sp_cpi / reps as f64));
     for (name, pts, cpi) in rows {
@@ -604,17 +579,18 @@ pub fn compare(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof hybrid -i trace.json -n 20` — the SimProf × systematic
+/// `simprof hybrid -i trace.sptrc -n 20` — the SimProf × systematic
 /// estimator at strides 1/2/5/10, with the detailed-simulation budget each
 /// stride needs.
 pub fn hybrid(opts: &Options) -> Result<(), String> {
-    let bundle = TraceInput::open(opts.require_input("hybrid")?)?.into_bundle()?;
-    let analysis = pipeline(opts).analyze(&bundle.trace).map_err(|e| format!("analyze: {e}"))?;
+    let input = TraceInput::open(opts.require_input("hybrid")?)?;
+    let trace = input.read_trace()?;
+    let analysis = pipeline(opts).analyze(&trace).map_err(|e| format!("analyze: {e}"))?;
     let oracle = analysis.oracle_cpi();
     let points = analysis.select_points(opts.points, split_seed(opts.seed, 0x5E1E));
     println!(
         "{}: {} points over {} phases; oracle CPI {:.4}",
-        bundle.label,
+        input.label,
         points.len(),
         analysis.k(),
         oracle
@@ -625,7 +601,7 @@ pub fn hybrid(opts: &Options) -> Result<(), String> {
     );
     for stride in [1usize, 2, 5, 10] {
         let h = simprof_core::estimate_hybrid(
-            &bundle.trace,
+            &trace,
             &analysis.model.assignments,
             &points,
             stride,
@@ -643,68 +619,45 @@ pub fn hybrid(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof trace-info -i trace.sptrc|trace.json` — trace metadata without
-/// an analysis pass.
+/// `simprof trace-info -i trace.sptrc` — trace metadata without an
+/// analysis pass.
 ///
-/// For a v2 chunked trace this is O(1) in trace size: the header frame is
-/// read from the front and the footer is located through the 12-byte trailer
-/// at the end — no unit chunk is ever decoded. A v3 trace adds one streaming
-/// pass over its chunk frames to report the stored-vs-raw compression ratio.
-/// Legacy bundles must be parsed whole (the format has no summary section),
-/// which is itself a reason to prefer the chunked format.
+/// The metadata is O(1) in trace size: the header frame is read from the
+/// front and the footer is located through the 12-byte trailer at the end.
+/// The frame codecs and the stored-vs-raw payload ratio that follow need
+/// every chunk frame, so the file is then streamed once (payloads are
+/// decoded, units are discarded).
 pub fn trace_info(opts: &Options) -> Result<(), String> {
     let path = opts.require_input("trace-info")?;
     if opts.salvage {
         return trace_info_salvage(path);
     }
-    let input = TraceInput::open(path)?;
-    match input.footer() {
-        Some(footer) => {
-            println!("{path}: chunked trace (schema v{})", footer.version);
-            if footer.version >= 3 {
-                // The codec list still comes from the header + footer frames
-                // alone, but the stored-vs-raw ratio needs every chunk frame's
-                // length fields, so this branch streams the shard once
-                // (payloads are decoded, units are discarded).
-                let mut reader = TraceReader::open(path)?;
-                reader.footer()?;
-                println!("  frame codecs    {}", reader.codecs_seen().join(", "));
-                while reader.next_unit()?.is_some() {}
-                let (stored, raw) = reader.payload_bytes();
-                let ratio = if raw == 0 { 1.0 } else { stored as f64 / raw as f64 };
-                println!(
-                    "  payload bytes   {stored} stored / {raw} raw ({:.1}% of raw)",
-                    ratio * 100.0
-                );
-            }
-            println!("  workload        {}", input.label);
-            println!("  seed            {}", input.seed);
-            println!("  scale           {}", input.scale);
-            println!("  units           {}", footer.unit_count);
-            println!("  unit size       {} instructions", input.unit_instrs());
-            println!("  method universe {}", footer.method_universe);
-            println!("  methods interned {}", footer.registry.len());
-            println!("  total instrs    {}", footer.total_instrs);
-            println!("  total cycles    {}", footer.total_cycles);
-            if footer.total_instrs > 0 {
-                println!(
-                    "  aggregate CPI   {:.4}",
-                    footer.total_cycles as f64 / footer.total_instrs as f64
-                );
-            }
-            println!("  truncated units {}", footer.truncated_units);
-            println!("  dropped snaps   {}", footer.dropped_snapshots);
-        }
-        None => {
-            println!("{path}: legacy JSON bundle (v{FORMAT_VERSION})");
-            println!("  workload        {}", input.label);
-            println!("  seed            {}", input.seed);
-            println!("  scale           {}", input.scale);
-            println!("  units           {}", input.unit_count());
-            println!("  unit size       {} instructions", input.unit_instrs());
-            println!("  methods interned {}", input.registry.len());
-        }
+    let mut reader = TraceReader::open(path)?;
+    let footer = reader.footer()?;
+    let meta = reader.meta();
+    println!("{path}: chunked trace (schema v{})", footer.version);
+    println!("  workload        {}", meta.label);
+    println!("  seed            {}", meta.seed);
+    println!("  scale           {}", meta.scale);
+    println!("  units           {}", footer.unit_count);
+    println!("  unit size       {} instructions", meta.unit_instrs);
+    println!("  method universe {}", footer.method_universe);
+    println!("  methods interned {}", footer.registry.len());
+    println!("  total instrs    {}", footer.total_instrs);
+    println!("  total cycles    {}", footer.total_cycles);
+    if footer.total_instrs > 0 {
+        println!(
+            "  aggregate CPI   {:.4}",
+            footer.total_cycles as f64 / footer.total_instrs as f64
+        );
     }
+    println!("  truncated units {}", footer.truncated_units);
+    println!("  dropped snaps   {}", footer.dropped_snapshots);
+    while reader.next_unit()?.is_some() {}
+    let (stored, raw) = reader.payload_bytes();
+    let ratio = if raw == 0 { 1.0 } else { stored as f64 / raw as f64 };
+    println!("  frame codecs    {}", reader.codecs_seen().join(", "));
+    println!("  payload bytes   {stored} stored / {raw} raw ({:.1}% of raw)", ratio * 100.0);
     Ok(())
 }
 
@@ -715,7 +668,7 @@ pub fn trace_info(opts: &Options) -> Result<(), String> {
 fn trace_info_salvage(path: &str) -> Result<(), String> {
     let s = TraceReader::open_salvage(path)?;
     let r = &s.report;
-    println!("{path}: salvage scan (schema v{}, {} bytes)", r.layout_version, r.file_bytes);
+    println!("{path}: salvage scan ({} bytes)", r.file_bytes);
     println!("  state           {}", if r.clean { "clean" } else { "damaged" });
     println!(
         "  header          {}",
@@ -742,8 +695,8 @@ fn trace_info_salvage(path: &str) -> Result<(), String> {
 
 /// `simprof trace-repair -i damaged.sptrc -o repaired.sptrc [--codec lz]`
 /// — salvage a damaged chunked trace and rewrite every recovered unit into
-/// a fresh, footer-sealed file that the ordinary reader accepts (schema v2
-/// by default, compressed v3 under `--codec`).
+/// a fresh, footer-sealed file that the ordinary reader accepts, its
+/// frames stored under `--codec` (default `raw`).
 ///
 /// Repair is lossless over what survived: units from intact chunk frames
 /// round-trip bit-identically; units whose frames failed their checksum are
@@ -773,18 +726,16 @@ pub fn trace_repair(opts: &Options) -> Result<(), String> {
     if !r.header_recovered {
         println!("  header frame lost; metadata reconstructed from the recovered units");
     }
-    let mut writer = match opts.codec {
-        None => TraceWriter::create(out_path, &s.meta)?,
-        Some(codec) => TraceWriter::create_compressed(out_path, &s.meta, codec)?,
-    };
+    let mut writer = TraceWriter::create_compressed(out_path, &s.meta, opts.codec)?;
     for unit in &s.units {
         writer.push(unit);
     }
     let footer = writer.finish(&s.footer.registry)?;
     println!(
-        "wrote {out_path} ({} units, sealed schema v{})",
+        "wrote {out_path} ({} units, sealed schema v{}, {} codec)",
         footer.unit_count,
-        writer.layout_version()
+        footer.version,
+        opts.codec.name()
     );
     Ok(())
 }
@@ -1132,13 +1083,16 @@ mod tests {
     }
 
     #[test]
-    fn profile_analyze_select_roundtrip() {
-        let dir = std::env::temp_dir().join("simprof_cli_test");
+    fn profile_feeds_every_trace_command() {
+        let dir = std::env::temp_dir().join("simprof_cli_profile_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("grep.json");
+        let path = dir.join("grep.sptrc");
         let path = path.to_str().unwrap();
 
+        // `-o` streams the trace to disk while profiling.
         profile(&opts(&format!("-w grep_sp --scale tiny --seed 5 -o {path}"))).unwrap();
+        assert_eq!(&std::fs::read(path).unwrap()[..8], simprof_trace::MAGIC);
+        trace_info(&opts(&format!("-i {path}"))).unwrap();
         analyze(&opts(&format!("-i {path}"))).unwrap();
         select(&opts(&format!("-i {path} -n 5"))).unwrap();
         size(&opts(&format!("-i {path} --error 0.10"))).unwrap();
@@ -1148,31 +1102,33 @@ mod tests {
         let manifest_path = dir.join("manifest.json");
         let manifest_path = manifest_path.to_str().unwrap();
         export(&opts(&format!("-i {path} -n 5 -o {manifest_path}"))).unwrap();
-        validate(&opts(&format!("-i {path} -n 2"))).unwrap();
-        trace_info(&opts(&format!("-i {path}"))).unwrap();
         assert!(std::fs::read_to_string(manifest_path).unwrap().contains("warmup_instrs"));
+        validate(&opts(&format!("-i {path} -n 2"))).unwrap();
         let _ = std::fs::remove_file(manifest_path);
         let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
-    fn chunked_profile_feeds_every_trace_command() {
-        let dir = std::env::temp_dir().join("simprof_cli_chunked_test");
+    fn profile_codec_raw_is_the_default_and_lz_reads_back() {
+        let dir = std::env::temp_dir().join("simprof_cli_codec_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("grep.sptrc");
-        let path = path.to_str().unwrap();
-
-        // A non-.json output streams the chunked format while profiling.
-        profile(&opts(&format!("-w grep_sp --scale tiny --seed 5 -o {path}"))).unwrap();
-        assert!(simprof_trace::is_chunked(path), "profile wrote the chunked format");
-        trace_info(&opts(&format!("-i {path}"))).unwrap();
-        analyze(&opts(&format!("-i {path}"))).unwrap();
-        select(&opts(&format!("-i {path} -n 5"))).unwrap();
-        size(&opts(&format!("-i {path} --error 0.10"))).unwrap();
-        report(&opts(&format!("-i {path}"))).unwrap();
-        hybrid(&opts(&format!("-i {path} -n 5"))).unwrap();
-        validate(&opts(&format!("-i {path} -n 2"))).unwrap();
-        let _ = std::fs::remove_file(path);
+        let [plain, raw, lz] = ["plain", "raw", "lz"]
+            .map(|name| dir.join(format!("{name}.sptrc")).to_str().unwrap().to_owned());
+        let base = "-w grep_sp --scale tiny --seed 5";
+        profile(&opts(&format!("{base} -o {plain}"))).unwrap();
+        profile(&opts(&format!("{base} -o {raw} --codec raw"))).unwrap();
+        profile(&opts(&format!("{base} -o {lz} --codec lz"))).unwrap();
+        let plain_bytes = std::fs::read(&plain).unwrap();
+        assert_eq!(plain_bytes, std::fs::read(&raw).unwrap(), "no --codec is --codec raw");
+        assert!(std::fs::read(&lz).unwrap().len() < plain_bytes.len());
+        let (from_plain, _) = simprof_trace::read_trace(&plain).unwrap();
+        let (from_lz, _) = simprof_trace::read_trace(&lz).unwrap();
+        assert_eq!(from_plain, from_lz);
+        trace_info(&opts(&format!("-i {lz}"))).unwrap();
+        for p in [&plain, &raw, &lz] {
+            let _ = std::fs::remove_file(p);
+        }
         let _ = std::fs::remove_dir(&dir);
     }
 

@@ -1,23 +1,19 @@
-//! Format-agnostic trace input: every trace-consuming command opens its
-//! input through [`TraceInput`], which sniffs the file's leading bytes and
-//! dispatches to the legacy JSON [`TraceBundle`] or the chunked
-//! `simprof-trace` format.
+//! Trace input: every trace-consuming command opens its `.sptrc` file
+//! through [`TraceInput`], which reads the header and the footer (O(1) in
+//! trace length) and leaves the units on disk until a command streams or
+//! materializes them.
 //!
-//! The two formats are interchangeable by contract: analysis routed through
-//! [`TraceInput::analyze`] is **bit-identical** whichever format the trace
-//! came from (and identical to analyzing the in-memory [`ProfileTrace`]
-//! directly), because all three paths run the same two-pass streaming
-//! pipeline — a legacy bundle just streams from memory while a chunked file
-//! streams from disk, one chunk at a time.
+//! Analysis routed through [`TraceInput::analyze`] is **bit-identical** to
+//! analyzing the in-memory [`ProfileTrace`] directly, because both run the
+//! same two-pass streaming pipeline — the file just streams from disk, one
+//! chunk at a time.
 
 use simprof_core::{Analysis, SimProf};
 use simprof_engine::MethodRegistry;
 use simprof_profiler::ProfileTrace;
-use simprof_trace::{read_trace, TraceFooter, TraceReader};
+use simprof_trace::{read_trace, TraceReader};
 
-use crate::bundle::{TraceBundle, FORMAT_VERSION};
-
-/// An opened trace file, either format.
+/// An opened trace file.
 #[derive(Debug)]
 pub struct TraceInput {
     /// Workload label (`wc_sp`, …).
@@ -28,106 +24,41 @@ pub struct TraceInput {
     pub scale: String,
     /// Method names/classes for the trace's method ids.
     pub registry: MethodRegistry,
-    kind: Kind,
-}
-
-#[derive(Debug)]
-enum Kind {
-    /// Legacy JSON bundle, already materialized.
-    Legacy(ProfileTrace),
-    /// Chunked file; units stay on disk until someone streams them.
-    Chunked { path: String, footer: TraceFooter, unit_instrs: u64 },
+    path: String,
+    unit_count: u64,
 }
 
 impl TraceInput {
-    /// Opens `path`, auto-detecting the format from its leading bytes.
+    /// Opens `path`, reading its header and footer.
     pub fn open(path: &str) -> Result<Self, String> {
-        if simprof_trace::is_chunked(path) {
-            let mut reader = TraceReader::open(path)?;
-            let footer = reader.footer()?;
-            let meta = reader.meta().clone();
-            Ok(Self {
-                label: meta.label,
-                seed: meta.seed,
-                scale: meta.scale,
-                registry: footer.registry.clone(),
-                kind: Kind::Chunked {
-                    path: path.to_owned(),
-                    unit_instrs: meta.unit_instrs,
-                    footer,
-                },
-            })
-        } else {
-            let bundle = TraceBundle::load(path)?;
-            Ok(Self {
-                label: bundle.label,
-                seed: bundle.seed,
-                scale: bundle.scale,
-                registry: bundle.registry,
-                kind: Kind::Legacy(bundle.trace),
-            })
-        }
-    }
-
-    /// True when the input is the chunked streaming format.
-    pub fn is_chunked(&self) -> bool {
-        matches!(self.kind, Kind::Chunked { .. })
-    }
-
-    /// Number of sampling units (from the footer for chunked files — no
-    /// unit scan needed).
-    pub fn unit_count(&self) -> u64 {
-        match &self.kind {
-            Kind::Legacy(trace) => trace.units.len() as u64,
-            Kind::Chunked { footer, .. } => footer.unit_count,
-        }
-    }
-
-    /// Sampling-unit size in instructions.
-    pub fn unit_instrs(&self) -> u64 {
-        match &self.kind {
-            Kind::Legacy(trace) => trace.unit_instrs,
-            Kind::Chunked { unit_instrs, .. } => *unit_instrs,
-        }
-    }
-
-    /// Runs the analysis pipeline: streaming from disk for chunked files,
-    /// over the in-memory trace for legacy bundles. Output is bit-identical
-    /// either way.
-    pub fn analyze(&self, pipeline: &SimProf) -> Result<Analysis, String> {
-        match &self.kind {
-            Kind::Legacy(trace) => pipeline.analyze(trace).map_err(|e| format!("analyze: {e}")),
-            Kind::Chunked { path, .. } => {
-                let mut reader = TraceReader::open(path)?;
-                pipeline.analyze_stream(&mut reader).map_err(|e| format!("analyze: {e}"))
-            }
-        }
-    }
-
-    /// Materializes the input into a legacy [`TraceBundle`] — for commands
-    /// that genuinely need the whole trace in memory (replay, export,
-    /// baseline comparison).
-    pub fn into_bundle(self) -> Result<TraceBundle, String> {
-        let trace = match self.kind {
-            Kind::Legacy(trace) => trace,
-            Kind::Chunked { path, .. } => read_trace(&path)?.0,
-        };
-        Ok(TraceBundle {
-            version: FORMAT_VERSION,
-            label: self.label,
-            seed: self.seed,
-            scale: self.scale,
-            trace,
-            registry: self.registry,
+        let mut reader = TraceReader::open(path)?;
+        let footer = reader.footer()?;
+        let meta = reader.meta().clone();
+        Ok(Self {
+            label: meta.label,
+            seed: meta.seed,
+            scale: meta.scale,
+            registry: footer.registry,
+            path: path.to_owned(),
+            unit_count: footer.unit_count,
         })
     }
 
-    /// The chunked footer, when the input is chunked.
-    pub fn footer(&self) -> Option<&TraceFooter> {
-        match &self.kind {
-            Kind::Legacy(_) => None,
-            Kind::Chunked { footer, .. } => Some(footer),
-        }
+    /// Number of sampling units (from the footer — no unit scan needed).
+    pub fn unit_count(&self) -> u64 {
+        self.unit_count
+    }
+
+    /// Runs the analysis pipeline, streaming the units from disk.
+    pub fn analyze(&self, pipeline: &SimProf) -> Result<Analysis, String> {
+        let mut reader = TraceReader::open(&self.path)?;
+        pipeline.analyze_stream(&mut reader).map_err(|e| format!("analyze: {e}"))
+    }
+
+    /// Materializes the whole trace — for commands that genuinely need
+    /// every unit in memory (replay, export, baseline comparison).
+    pub fn read_trace(&self) -> Result<ProfileTrace, String> {
+        Ok(read_trace(&self.path)?.0)
     }
 }
 
@@ -138,25 +69,11 @@ mod tests {
     use simprof_workloads::{Benchmark, Framework, WorkloadConfig};
 
     #[test]
-    fn both_formats_open_and_analyze_identically() {
+    fn opens_and_analyzes_like_the_in_memory_trace() {
         let cfg = WorkloadConfig::tiny(11);
         let out = Benchmark::Grep.run_full(Framework::Spark, &cfg);
-        let dir = std::env::temp_dir();
-        let legacy_path = dir.join("simprof_input_legacy.json");
-        let legacy_path = legacy_path.to_str().unwrap();
-        let chunked_path = dir.join("simprof_input_chunked.sptrc");
-        let chunked_path = chunked_path.to_str().unwrap();
-
-        TraceBundle {
-            version: FORMAT_VERSION,
-            label: "grep_sp".into(),
-            seed: 11,
-            scale: "tiny".into(),
-            trace: out.trace.clone(),
-            registry: out.registry.clone(),
-        }
-        .save(legacy_path)
-        .unwrap();
+        let path = std::env::temp_dir().join("simprof_input_chunked.sptrc");
+        let path = path.to_str().unwrap();
 
         let meta = TraceMeta {
             label: "grep_sp".into(),
@@ -166,35 +83,30 @@ mod tests {
             snapshot_instrs: out.trace.snapshot_instrs,
             core: out.trace.core,
         };
-        let mut w = TraceWriter::create(chunked_path, &meta).unwrap().with_chunk_units(16);
+        let mut w = TraceWriter::create(path, &meta).unwrap().with_chunk_units(16);
         for u in &out.trace.units {
             w.push(u);
         }
         w.finish(&out.registry).unwrap();
 
-        let legacy = TraceInput::open(legacy_path).unwrap();
-        let chunked = TraceInput::open(chunked_path).unwrap();
-        assert!(!legacy.is_chunked());
-        assert!(chunked.is_chunked());
-        assert_eq!(legacy.label, chunked.label);
-        assert_eq!(legacy.unit_count(), chunked.unit_count());
-        assert_eq!(legacy.unit_instrs(), chunked.unit_instrs());
+        let input = TraceInput::open(path).unwrap();
+        assert_eq!(input.label, "grep_sp");
+        assert_eq!(input.seed, 11);
+        assert_eq!(input.unit_count(), out.trace.units.len() as u64);
+        assert_eq!(input.registry.len(), out.registry.len());
 
         let sp = SimProf::default();
-        let a = legacy.analyze(&sp).unwrap();
-        let b = chunked.analyze(&sp).unwrap();
+        let a = sp.analyze(&out.trace).unwrap();
+        let b = input.analyze(&sp).unwrap();
         assert_eq!(a.cpis, b.cpis);
         assert_eq!(a.model.assignments, b.model.assignments);
         assert_eq!(a.model.space, b.model.space);
         assert_eq!(a.stats, b.stats);
 
-        // Materializing the chunked file reproduces the trace exactly.
-        let bundle = chunked.into_bundle().unwrap();
-        assert_eq!(bundle.trace, out.trace);
-        assert_eq!(bundle.label, "grep_sp");
+        // Materializing the file reproduces the trace exactly.
+        assert_eq!(input.read_trace().unwrap(), out.trace);
 
-        let _ = std::fs::remove_file(legacy_path);
-        let _ = std::fs::remove_file(chunked_path);
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

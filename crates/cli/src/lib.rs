@@ -7,9 +7,9 @@
 //! simprof run -w wc_sp --report run.json         # whole pipeline + run report
 //! simprof run -w wc_sp --live --target-rel-err 0.05  # online phases + early stop
 //! simprof profile -w wc_sp -o wc.sptrc           # run + stream a trace to disk
-//! simprof trace-info -i wc.sptrc                 # footer metadata, no unit scan
+//! simprof trace-info -i wc.sptrc                 # footer metadata + frame codecs
 //! simprof trace-info --salvage -i torn.sptrc     # damage report for a torn trace
-//! simprof trace-repair -i torn.sptrc -o ok.sptrc # salvage → sealed v2 file
+//! simprof trace-repair -i torn.sptrc -o ok.sptrc # salvage → sealed trace file
 //! simprof analyze -i wc.sptrc                    # phases + homogeneity (streamed)
 //! simprof select  -i wc.sptrc -n 20              # simulation points + CI
 //! simprof size    -i wc.sptrc --error 0.05       # required sample size
@@ -19,18 +19,14 @@
 //! simprof timeline -i run.json -o timeline.json  # Perfetto timeline export
 //! ```
 //!
-//! Two trace formats are supported, auto-detected on read (see
-//! [`input::TraceInput`]): the chunked streaming `.sptrc` format
-//! (`simprof-trace`), written while the engine runs and analyzed without
-//! materializing the trace, and the legacy JSON [`bundle::TraceBundle`]
-//! (written when `profile`'s output path ends in `.json`). Either way an
-//! `analyze`/`select` run can happen on a different machine than the
-//! `profile` run — mirroring the paper's profile-on-hardware /
-//! simulate-elsewhere workflow — and the analysis output is bit-identical
-//! across formats.
+//! Traces are `.sptrc` files (`simprof-trace`, opened through
+//! [`input::TraceInput`]): written while the engine runs and analyzed
+//! without materializing the trace. An `analyze`/`select` run can happen
+//! on a different machine than the `profile` run — mirroring the paper's
+//! profile-on-hardware / simulate-elsewhere workflow — and the analysis
+//! output is bit-identical to analyzing the in-memory trace.
 
 pub mod args;
-pub mod bundle;
 pub mod commands;
 pub mod input;
 
@@ -110,8 +106,9 @@ COMMANDS:
     validate      Replay selected points in isolation and compare CPIs
     serve         Run a batch of profiling jobs concurrently (--jobs file),
                   one shard per job in a --store trace store
-    trace-info    Print a trace file's metadata (footer read, no unit scan;
-                  --salvage forward-scans a damaged file instead)
+    trace-info    Print a trace file's metadata (O(1) footer read), then its
+                  frame codecs and compression (one pass; --salvage
+                  forward-scans a damaged file instead)
     trace-repair  Salvage a damaged/truncated trace into a sealed file
     sensitivity   Input-sensitivity study (Algorithm 1) over the Table II graphs
     diagnose      Estimator diagnostics: CI convergence curve + empirical coverage
@@ -120,10 +117,10 @@ COMMANDS:
 
 OPTIONS:
     -w, --workload <LABEL>   Workload label (wc_sp, sort_hp, ...); see `list`
-    -i, --input <FILE>       Input trace (chunked .sptrc or legacy JSON bundle,
-                             auto-detected; from `profile`)
-    -o, --output <FILE>      Output file (.json → legacy bundle; anything else
-                             streams the chunked trace format)
+    -i, --input <FILE>       Input .sptrc trace (from `profile`); a run report
+                             for `timeline`
+    -o, --output <FILE>      Output file (for `profile`/`trace-repair`: the
+                             .sptrc trace, streamed while profiling)
     -n, --points <N>         Number of simulation points [default: 20]
         --seed <N>           Master seed [default: 42]
         --scale <PRESET>     Workload scale: paper | tiny [default: paper]
@@ -154,11 +151,10 @@ OPTIONS:
         --target-rel-err <FRAC>  For `run --live`: stop profiling once the live
                              CI half-width is within FRAC of the mean CPI
                              (implies --live)
-        --codec <NAME>       Per-frame trace compression: raw | lz. For
-                             `profile`/`trace-repair` writes the v3 layout;
-                             for `serve` it is the default for jobs that do
-                             not choose one. Omit to keep the uncompressed
-                             v2 layout
+        --codec <NAME>       Per-frame trace codec: raw | lz [default: raw].
+                             For `profile`/`trace-repair` it encodes the
+                             written trace; for `serve` it is the default
+                             for jobs that do not choose one
         --jobs <FILE>        For `serve`: JSON array of job specs ({id,
                              workload, seed?, scale?, codec?, mem_cap_mb?,
                              tenant?})

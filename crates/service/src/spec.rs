@@ -23,8 +23,9 @@ pub struct JobSpec {
     /// Scale preset (`paper` / `tiny`). Defaults to `tiny`.
     #[serde(default)]
     pub scale: Option<String>,
-    /// Trace codec (`raw` / `lz`). Absent means the v2 uncompressed
-    /// layout — byte-identical to `simprof profile`'s output.
+    /// Trace codec (`raw` / `lz`). Absent means the runner's default
+    /// codec, `raw` unless `serve --codec` sets another; a raw shard is
+    /// byte-identical to `simprof profile`'s output.
     #[serde(default)]
     pub codec: Option<String>,
     /// Per-job memory budget in MiB, enforced against the job's own
@@ -38,8 +39,8 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A minimal spec: `tiny` scale, seed 42, uncompressed, default
-    /// tenant, no memory cap.
+    /// A minimal spec: `tiny` scale, seed 42, the runner's default codec,
+    /// default tenant, no memory cap.
     pub fn new(id: &str, workload: &str) -> Self {
         Self {
             id: id.to_owned(),
@@ -94,8 +95,8 @@ impl JobSpec {
         }
     }
 
-    /// Parses the job's codec choice: `None` = stay on the uncompressed
-    /// v2 layout, `Some` = write a v3 shard under that codec.
+    /// Parses the job's codec choice: `None` = the runner's default codec,
+    /// `Some` = write the shard under that codec.
     pub fn resolve_codec(&self) -> Result<Option<Codec>, String> {
         match self.codec.as_deref() {
             None => Ok(None),

@@ -5,7 +5,7 @@
 //! <root>/
 //!   index.json            # StoreIndex: every admitted shard, sorted by job id
 //!   shards/
-//!     <job-id>.sptrc      # one sealed trace per job (v2 raw or v3 compressed)
+//!     <job-id>.sptrc      # one sealed trace per job (raw or LZ frames)
 //! ```
 //!
 //! Admission — not writing — is the accounting boundary: a job writes its
@@ -22,7 +22,7 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use simprof_trace::TraceReader;
+use simprof_trace::{TraceReader, FORMAT_VERSION};
 
 /// The index file name inside a store root.
 pub const INDEX_FILE: &str = "index.json";
@@ -46,7 +46,8 @@ pub struct ShardRecord {
     pub bytes: u64,
     /// Sampling units in the shard (from its footer).
     pub units: u64,
-    /// Trace layout version (2 = raw, 3 = per-frame codec).
+    /// Trace layout version; [`TraceStore::validate`] requires the one
+    /// this build reads ([`FORMAT_VERSION`]).
     pub layout_version: u32,
     /// Codec the shard was written under (`raw` / `lz`).
     pub codec: String,
@@ -222,8 +223,9 @@ impl TraceStore {
 
     /// Cross-checks the index of the store at `root` against the files on
     /// disk: every indexed shard must exist with the recorded byte size,
-    /// open cleanly, and carry a footer matching the recorded unit count
-    /// and layout; every `.sptrc` under `shards/` must be indexed.
+    /// record this build's layout version, open cleanly, and carry a
+    /// footer matching the recorded unit count; every `.sptrc` under
+    /// `shards/` must be indexed.
     pub fn validate(root: &str) -> Result<StoreCheck, String> {
         let index = Self::load_index(root)?;
         let root_path = Path::new(root);
@@ -253,31 +255,19 @@ impl TraceStore {
                     rec.job, rec.bytes
                 ));
             }
+            if rec.layout_version != FORMAT_VERSION {
+                problems.push(format!(
+                    "job `{}`: index says layout v{}, this build reads v{FORMAT_VERSION}",
+                    rec.job, rec.layout_version
+                ));
+            }
             let path_str = path.to_string_lossy().into_owned();
-            match TraceReader::open(&path_str) {
-                Ok(mut reader) => {
-                    if reader.layout_version() != rec.layout_version {
-                        problems.push(format!(
-                            "job `{}`: shard layout v{}, index says v{}",
-                            rec.job,
-                            reader.layout_version(),
-                            rec.layout_version
-                        ));
-                    }
-                    match reader.footer() {
-                        Ok(footer) => {
-                            if footer.unit_count != rec.units {
-                                problems.push(format!(
-                                    "job `{}`: footer has {} units, index says {}",
-                                    rec.job, footer.unit_count, rec.units
-                                ));
-                            }
-                        }
-                        Err(e) => {
-                            problems.push(format!("job `{}`: unreadable footer: {e}", rec.job))
-                        }
-                    }
-                }
+            match TraceReader::open(&path_str).and_then(|mut reader| reader.footer()) {
+                Ok(footer) if footer.unit_count != rec.units => problems.push(format!(
+                    "job `{}`: footer has {} units, index says {}",
+                    rec.job, footer.unit_count, rec.units
+                )),
+                Ok(_) => {}
                 Err(e) => problems.push(format!("job `{}`: unreadable shard: {e}", rec.job)),
             }
             *tenant_bytes.entry(rec.tenant.clone()).or_insert(0) += rec.bytes;
@@ -339,7 +329,7 @@ mod tests {
                 file: store.shard_rel("a"),
                 bytes: bytes_a,
                 units: units_a,
-                layout_version: 2,
+                layout_version: 3,
                 codec: "raw".into(),
             })
             .unwrap();
@@ -350,7 +340,7 @@ mod tests {
                 file: store.shard_rel("b"),
                 bytes: bytes_b,
                 units: units_b,
-                layout_version: 2,
+                layout_version: 3,
                 codec: "raw".into(),
             })
             .unwrap();
@@ -372,7 +362,7 @@ mod tests {
                 file: reopened.shard_rel("a"),
                 bytes: 1,
                 units: 0,
-                layout_version: 2,
+                layout_version: 3,
                 codec: "raw".into(),
             })
             .unwrap_err()
@@ -393,7 +383,7 @@ mod tests {
             file: format!("shards/{job}.sptrc"),
             bytes,
             units: 0,
-            layout_version: 2,
+            layout_version: 3,
             codec: "raw".into(),
         };
         store.admit(rec("a", "small", 700)).unwrap();
@@ -418,7 +408,7 @@ mod tests {
                 file: store.shard_rel("a"),
                 bytes,
                 units,
-                layout_version: 2,
+                layout_version: 3,
                 codec: "raw".into(),
             })
             .unwrap();
@@ -435,6 +425,39 @@ mod tests {
         let all = check.problems.join("\n");
         assert!(all.contains("stray shard"), "{all}");
         assert!(all.contains("bytes on disk"), "{all}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn validate_names_retired_layouts() {
+        let root = tmp_root("simprof_store_retired");
+        let store = TraceStore::create(&root).unwrap();
+        let rec = |job: &str, bytes: u64, layout_version: u32| ShardRecord {
+            job: job.into(),
+            tenant: "t".into(),
+            file: store.shard_rel(job),
+            bytes,
+            units: 0,
+            layout_version,
+            codec: "raw".into(),
+        };
+        // A shard whose file carries the retired v2 magic.
+        let (bytes, _) = write_shard(&store, "old_file");
+        let shard = store.shard_path("old_file");
+        let mut data = std::fs::read(&shard).unwrap();
+        data[7] = b'2';
+        std::fs::write(&shard, &data).unwrap();
+        store.admit(rec("old_file", bytes, 3)).unwrap();
+        // A sound shard whose index record names layout v2.
+        let (bytes, _) = write_shard(&store, "old_record");
+        store.admit(rec("old_record", bytes, 2)).unwrap();
+        store.write_index().unwrap();
+
+        let check = TraceStore::validate(&root).unwrap();
+        assert_eq!(check.problems.len(), 2, "{:?}", check.problems);
+        assert!(check.problems[0].contains("`old_file`"), "{:?}", check.problems);
+        assert!(check.problems[0].contains("layout v2 is no longer read"), "{:?}", check.problems);
+        assert!(check.problems[1].contains("`old_record`: index says layout v2"));
         let _ = std::fs::remove_dir_all(&root);
     }
 

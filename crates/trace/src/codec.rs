@@ -1,10 +1,11 @@
-//! Per-frame payload codecs for the v3 `.sptrc` layout (DESIGN.md §17.3).
+//! Per-frame payload codecs for the `.sptrc` layout (DESIGN.md §17.4).
 //!
-//! A v3 frame carries a one-byte codec id between the frame kind and the
+//! A frame carries a one-byte codec id between the frame kind and the
 //! length field; the length counts *stored* (post-codec) bytes. Two codecs
 //! exist:
 //!
-//! * [`CODEC_RAW`] — the payload verbatim. Also the per-frame fallback:
+//! * [`CODEC_RAW`] — the payload verbatim, written and read back without
+//!   a copy of its own. Also the per-frame fallback:
 //!   when compression fails to shrink a payload the writer stores it raw,
 //!   so a pathological (incompressible) chunk never grows the file.
 //! * [`CODEC_LZ`] — an in-crate LZSS variant (no external dependencies):
@@ -22,6 +23,8 @@
 //! back-reference must land inside the bytes already produced, and the
 //! stream must reconstruct exactly the promised length. Corrupt input is
 //! an error, never a panic or an over-allocation.
+
+use std::borrow::Cow;
 
 /// Codec id for uncompressed payloads (and the compression fallback).
 pub const CODEC_RAW: u8 = 0;
@@ -50,7 +53,7 @@ pub fn codec_name(id: u8) -> Option<&'static str> {
     }
 }
 
-/// The codec a v3 writer is asked to apply to its frames.
+/// The codec a writer is asked to apply to its frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Codec {
     /// Store every payload verbatim (codec byte [`CODEC_RAW`]).
@@ -80,28 +83,29 @@ impl Codec {
     }
 }
 
-/// Encodes `payload` under `codec`, returning the codec id actually used
-/// and the stored bytes. LZ falls back to raw per frame when compression
-/// does not strictly shrink the payload, so the stored form is never
-/// larger than the raw form.
-pub fn encode(codec: Codec, payload: &[u8]) -> (u8, Vec<u8>) {
-    match codec {
-        Codec::Raw => (CODEC_RAW, payload.to_vec()),
-        Codec::Lz => {
-            let packed = lz_compress(payload);
-            if packed.len() < payload.len() {
-                (CODEC_LZ, packed)
-            } else {
-                (CODEC_RAW, payload.to_vec())
-            }
+/// Appends the stored form of `payload` under `codec` to `out` and
+/// returns the codec id actually used. A raw frame's stored bytes are the
+/// payload verbatim. LZ falls back to raw per frame when compression does
+/// not strictly shrink the payload, so the stored form is never larger
+/// than the raw form.
+pub fn encode_into(codec: Codec, payload: &[u8], out: &mut Vec<u8>) -> u8 {
+    if codec == Codec::Lz {
+        let start = out.len();
+        lz_compress_into(payload, out);
+        if out.len() - start < payload.len() {
+            return CODEC_LZ;
         }
+        out.truncate(start);
     }
+    out.extend_from_slice(payload);
+    CODEC_RAW
 }
 
-/// Decodes stored frame bytes back to the payload. `max_len` caps the
-/// decoded size (readers pass [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN)):
-/// a corrupt or hostile length is rejected before allocation.
-pub fn decode(codec_id: u8, stored: &[u8], max_len: usize) -> Result<Vec<u8>, String> {
+/// Decodes stored frame bytes back to the payload; a raw frame borrows
+/// its stored bytes. `max_len` caps the decoded size (readers pass
+/// [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN)): a corrupt or hostile length
+/// is rejected before allocation.
+pub fn decode(codec_id: u8, stored: &[u8], max_len: usize) -> Result<Cow<'_, [u8]>, String> {
     match codec_id {
         CODEC_RAW => {
             if stored.len() > max_len {
@@ -110,9 +114,9 @@ pub fn decode(codec_id: u8, stored: &[u8], max_len: usize) -> Result<Vec<u8>, St
                     stored.len()
                 ));
             }
-            Ok(stored.to_vec())
+            Ok(Cow::Borrowed(stored))
         }
-        CODEC_LZ => lz_decompress(stored, max_len),
+        CODEC_LZ => lz_decompress(stored, max_len).map(Cow::Owned),
         other => Err(format!("unknown frame codec id {other}")),
     }
 }
@@ -122,9 +126,10 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// Greedy LZSS compression. Deterministic: output depends only on `input`.
-fn lz_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+/// Greedy LZSS compression of `input`, appended to `out`. Deterministic:
+/// the appended bytes depend only on `input`.
+fn lz_compress_into(input: &[u8], out: &mut Vec<u8>) {
+    out.reserve(input.len() / 2 + 16);
     out.extend_from_slice(&(input.len() as u32).to_le_bytes());
 
     // Candidate positions for each 4-byte prefix hash. usize::MAX = empty.
@@ -179,10 +184,9 @@ fn lz_compress(input: &[u8]) -> Vec<u8> {
         }
         ctrl_bit += 1;
     }
-    out
 }
 
-/// Bounds-checked LZSS decompression; inverse of [`lz_compress`].
+/// Bounds-checked LZSS decompression; inverse of [`lz_compress_into`].
 fn lz_decompress(stored: &[u8], max_len: usize) -> Result<Vec<u8>, String> {
     if stored.len() < 4 {
         return Err(format!("compressed payload too short ({} bytes)", stored.len()));
@@ -248,6 +252,12 @@ fn lz_decompress(stored: &[u8], max_len: usize) -> Result<Vec<u8>, String> {
 mod tests {
     use super::*;
 
+    fn lz_compress(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        lz_compress_into(input, &mut out);
+        out
+    }
+
     fn roundtrip(input: &[u8]) -> Vec<u8> {
         let packed = lz_compress(input);
         lz_decompress(&packed, input.len().max(1)).expect("roundtrip decodes")
@@ -300,11 +310,36 @@ mod tests {
                 x as u8
             })
             .collect();
-        let (id, stored) = encode(Codec::Lz, &input);
+        let mut stored = vec![0xAB];
+        let id = encode_into(Codec::Lz, &input, &mut stored);
         assert_eq!(id, CODEC_RAW, "noise must not be stored compressed");
-        assert_eq!(stored, input);
+        assert_eq!(stored[0], 0xAB, "bytes already in the buffer are kept");
+        assert_eq!(&stored[1..], &input[..]);
         // The LZ stream itself still roundtrips even when unprofitable.
         assert_eq!(roundtrip(&input), input);
+    }
+
+    #[test]
+    fn raw_is_stored_verbatim_and_decoded_without_a_copy() {
+        let payload = br#"[{"id":0,"snapshots":6}]"#;
+        let mut stored = vec![b'U', 0];
+        assert_eq!(encode_into(Codec::Raw, payload, &mut stored), CODEC_RAW);
+        assert_eq!(&stored[2..], payload);
+        let decoded = decode(CODEC_RAW, &stored[2..], 1024).unwrap();
+        assert!(matches!(decoded, Cow::Borrowed(_)), "raw decode must borrow");
+        assert_eq!(&*decoded, payload);
+        assert!(decode(CODEC_RAW, payload, 4).unwrap_err().contains("cap"));
+    }
+
+    #[test]
+    fn lz_appends_after_existing_bytes_and_roundtrips() {
+        let payload = "abcdabcdabcdabcdabcdabcd".repeat(20);
+        let mut stored = vec![1, 2, 3];
+        assert_eq!(encode_into(Codec::Lz, payload.as_bytes(), &mut stored), CODEC_LZ);
+        assert_eq!(&stored[..3], &[1, 2, 3]);
+        assert_eq!(&stored[3..], &lz_compress(payload.as_bytes())[..]);
+        let decoded = decode(CODEC_LZ, &stored[3..], payload.len()).unwrap();
+        assert_eq!(&*decoded, payload.as_bytes());
     }
 
     #[test]

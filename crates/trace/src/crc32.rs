@@ -1,8 +1,9 @@
 //! In-crate CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 //!
-//! The v2 frame format appends a CRC-32 over every frame's
-//! `[kind | len | payload]` bytes so a flipped bit is caught before a
-//! corrupted payload reaches the JSON codec (DESIGN.md §14). The workspace
+//! Every `.sptrc` frame ends in a CRC-32 over its
+//! `[kind | codec | len | stored]` bytes so a flipped bit is caught before
+//! a corrupted payload reaches the decompressor or the JSON parser
+//! (DESIGN.md §14). The workspace
 //! builds offline with no crates.io access, so the checksum is implemented
 //! here: the standard byte-at-a-time table algorithm, table built at
 //! compile time. This is the same CRC that gzip, PNG and zlib use, so a

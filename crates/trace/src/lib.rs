@@ -1,9 +1,9 @@
 //! The `.sptrc` chunked on-disk trace format (DESIGN.md §12, §14).
 //!
-//! The legacy persistence format (`simprof-cli`'s JSON `TraceBundle`) is one
-//! monolithic blob: writing it needs the whole [`ProfileTrace`] in memory
-//! and reading it parses everything before the first unit is usable. This
-//! crate replaces that with a *streaming* format:
+//! The trace file is the one interface between profiling and offline
+//! analysis. Writing it must not need the whole [`ProfileTrace`] in memory,
+//! and reading it must not parse everything before the first unit is
+//! usable, so the format is *streaming*:
 //!
 //! * [`TraceWriter`] is a [`UnitSink`]: attach it to a `SamplingManager`
 //!   and units are framed to disk in fixed-size chunks while the engine is
@@ -19,54 +19,44 @@
 //!   [`chaos`] provides the seeded fault injection that keeps the
 //!   recovery path honest.
 //!
-//! ## Layout (v2)
+//! ## Layout (v3)
 //!
 //! ```text
-//! [MAGIC: 8 bytes "SPTRC\x00v2"]
+//! [MAGIC: 8 bytes "SPTRC\x00v3"]
 //! [frame 'H'] header: TraceMeta as compact JSON
 //! [frame 'U']*       chunks: Vec<SamplingUnit> as compact JSON
 //! [frame 'F'] footer: TraceFooter as compact JSON
-//! [footer payload length: u32 LE] [MAGIC]            ← 12-byte trailer
+//! [footer stored length: u32 LE] [MAGIC]            ← 12-byte trailer
 //! ```
 //!
-//! Every v2 frame is `[kind: u8] [payload length: u32 LE] [payload]
-//! [CRC32: u32 LE]`, where the checksum covers `kind | length | payload`
-//! (see [`crc32`](mod@crc32) — implemented in-crate, IEEE polynomial). The
-//! trailer lets a reader locate the footer from the end of the file in
-//! three reads, so `trace-info` on a multi-gigabyte trace is O(1). Frame
-//! lengths are capped at [`MAX_FRAME_LEN`]: the cap bounds reader
-//! allocation against corrupt or hostile length fields, and doubles as
-//! the cheap rejection test during salvage resync.
-//!
-//! ## Layout (v3): per-frame compression
-//!
-//! v3 is v2 plus one codec byte per frame, negotiated from the
-//! `SPTRC\x00v3` magic:
+//! Every frame is
 //!
 //! ```text
-//! [kind: u8] [codec: u8] [stored length: u32 LE] [stored bytes] [CRC32]
+//! [kind: u8] [codec: u8] [stored length: u32 LE] [stored bytes] [CRC32: u32 LE]
 //! ```
 //!
-//! The length counts *stored* (post-codec) bytes, the CRC covers
-//! `kind | codec | length | stored`, and the trailer's length field is
-//! the footer frame's stored length — so the O(1) tail seek works without
-//! decompressing anything first. Codec ids and the in-crate LZ codec live
-//! in [`codec`]; a frame whose payload does not shrink is stored raw
-//! (codec 0), so a compressed trace is never larger frame-by-frame than
-//! its raw form. [`TraceWriter::create`] still writes v2 — compression is
-//! opt-in via [`TraceWriter::create_compressed`], keeping the default
-//! byte-stream identical across this change.
+//! The length counts *stored* (post-codec) bytes, and the checksum covers
+//! `kind | codec | length | stored` (see [`crc32`](mod@crc32) —
+//! implemented in-crate, IEEE polynomial). Codec ids and the in-crate LZ
+//! codec live in [`codec`]. [`Codec::Raw`], the default, stores the payload
+//! verbatim; under [`Codec::Lz`] a frame whose payload does not shrink is
+//! stored raw, so a compressed trace is never larger frame-by-frame than
+//! its raw form. The trailer records the footer frame's stored length, so
+//! a reader locates the footer from the end of the file in three reads
+//! without decompressing anything first: reading the footer of a
+//! multi-gigabyte trace is O(1). Frame lengths are capped at
+//! [`MAX_FRAME_LEN`]: the cap bounds reader allocation against corrupt or
+//! hostile length fields, and doubles as the cheap rejection test during
+//! salvage resync.
 //!
-//! ## Version negotiation
+//! ## Versions
 //!
-//! The format version lives in two places on purpose: the magic's
-//! trailing version (an incompatible layout change bumps it; v1 files —
-//! identical to v2 but with no per-frame CRC — and v2 files are both
-//! still read transparently) and [`TraceFooter::version`] (compatible
-//! schema evolution inside frames; readers require it to match the
-//! magic's layout version and reject versions newer than
-//! [`FORMAT_VERSION`]). Unknown frame kinds are an error — the format has
-//! no optional frames.
+//! The layout version lives in the magic's trailing byte and the schema
+//! version in [`TraceFooter::version`]; both are [`FORMAT_VERSION`]. This
+//! build writes and reads only v3. A file with the retired `SPTRC\x00v1`
+//! (no CRC) or `SPTRC\x00v2` (no codec byte) magic is rejected with an
+//! error naming its layout; there is no upgrade path (DESIGN.md §14.2).
+//! Unknown frame kinds are an error — the format has no optional frames.
 //!
 //! ## Durability
 //!
@@ -78,6 +68,7 @@
 //! profiler falls back to memory-only collection instead of panicking
 //! (DESIGN.md §14.4).
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, Cursor, Read, Seek, SeekFrom, Write};
 
@@ -97,19 +88,11 @@ pub use chaos::{ChaosCounts, ChaosPlan, ChaosReader, ChaosWriter};
 pub use codec::Codec;
 pub use salvage::{salvage_bytes, Salvage, SalvageReport};
 
-/// The default layout's magic; the `v2` suffix is the layout version.
-pub const MAGIC: &[u8; 8] = b"SPTRC\0v2";
+/// The `.sptrc` magic; the trailing `v3` is the layout version.
+pub const MAGIC: &[u8; 8] = b"SPTRC\0v3";
 
-/// The original layout's magic: same framing as v2, no per-frame CRC.
-/// Still readable.
-pub const MAGIC_V1: &[u8; 8] = b"SPTRC\0v1";
-
-/// The compressed layout's magic: v2 framing plus a codec byte per frame.
-pub const MAGIC_V3: &[u8; 8] = b"SPTRC\0v3";
-
-/// Newest schema version this build reads and writes. Each footer carries
-/// its own file's layout version (1, 2, or 3); the *default* writer still
-/// produces v2 so existing byte-for-byte expectations hold.
+/// Layout and schema version this build writes and reads: the magic's
+/// trailing digit and every footer's [`TraceFooter::version`].
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Units buffered per on-disk chunk by default. The chunk is the unit of
@@ -127,6 +110,9 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 pub(crate) const FRAME_HEADER: u8 = b'H';
 pub(crate) const FRAME_UNITS: u8 = b'U';
 pub(crate) const FRAME_FOOTER: u8 = b'F';
+
+/// Bytes before a frame's stored payload: kind, codec id, stored length.
+pub(crate) const FRAME_HEAD: usize = 6;
 
 const SALVAGE_HINT: &str = "recover readable units with `simprof trace-info --salvage <file>` \
      or rewrite with `simprof trace-repair <in> <out>`";
@@ -152,7 +138,7 @@ pub struct TraceMeta {
 /// Trace summary written as the final frame, locatable from the file tail.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceFooter {
-    /// Schema version (see [`FORMAT_VERSION`]); matches the file's layout
+    /// Schema version: always [`FORMAT_VERSION`], the file's layout
     /// version.
     pub version: u32,
     /// Number of sampling units in the file.
@@ -171,27 +157,20 @@ pub struct TraceFooter {
     pub registry: MethodRegistry,
 }
 
-/// True when the file at `path` starts with a chunked-trace magic (either
-/// layout version) — the sniff the CLI uses to auto-detect the input
-/// format.
-pub fn is_chunked(path: &str) -> bool {
-    let mut head = [0u8; 8];
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_exact(&mut head).is_ok()
-                && (&head == MAGIC || &head == MAGIC_V1 || &head == MAGIC_V3)
-        }
-        Err(_) => false,
+/// Accepts the v3 magic. The retired v1/v2 magics get an error naming
+/// their layout; anything else is not a simprof trace.
+pub(crate) fn check_magic(path: &str, head: &[u8; 8]) -> Result<(), String> {
+    if head == MAGIC {
+        return Ok(());
     }
-}
-
-/// The magic for a given layout version.
-pub(crate) fn magic_for(layout_version: u32) -> &'static [u8; 8] {
-    match layout_version {
-        1 => MAGIC_V1,
-        3 => MAGIC_V3,
-        _ => MAGIC,
+    if head[..7] == MAGIC[..7] && matches!(head[7], b'1' | b'2') {
+        return Err(format!(
+            "{path}: layout v{} is no longer read; this build reads v{FORMAT_VERSION} \
+             (DESIGN.md §14.2)",
+            head[7] as char
+        ));
     }
+    Err(format!("{path}: not a chunked simprof trace (bad magic {head:?}; expected {MAGIC:?})"))
 }
 
 fn io_err(path: &str, what: &str, e: std::io::Error) -> String {
@@ -254,43 +233,34 @@ pub struct TraceWriter<W: Write + Seek = File> {
     dropped_snapshots: u64,
     error: Option<String>,
     finished: bool,
-    layout: u32,
     codec: Codec,
 }
 
 impl TraceWriter<File> {
-    /// Creates the file at `path` and writes the v2 magic + header frame.
+    /// Creates the file at `path` and writes the magic + header frame,
+    /// storing every frame raw.
     pub fn create(path: &str, meta: &TraceMeta) -> Result<Self, String> {
-        let file = File::create(path).map_err(|e| io_err(path, "create", e))?;
-        Self::from_writer_versioned(file, path, meta, 2, Codec::Raw)
+        Self::create_compressed(path, meta, Codec::Raw)
     }
 
-    /// Creates a file in the original (v1, CRC-less) layout. Exists so
-    /// compatibility with pre-v2 readers and files stays testable; new
-    /// traces should use [`TraceWriter::create`].
-    pub fn create_legacy_v1(path: &str, meta: &TraceMeta) -> Result<Self, String> {
-        let file = File::create(path).map_err(|e| io_err(path, "create", e))?;
-        Self::from_writer_versioned(file, path, meta, 1, Codec::Raw)
-    }
-
-    /// Creates the file at `path` in the v3 layout, encoding every frame
-    /// under `codec` (with per-frame raw fallback — see [`codec`]).
+    /// Creates the file at `path`, encoding every frame under `codec`
+    /// (with per-frame raw fallback — see [`codec`]).
     pub fn create_compressed(path: &str, meta: &TraceMeta, codec: Codec) -> Result<Self, String> {
         let file = File::create(path).map_err(|e| io_err(path, "create", e))?;
-        Self::from_writer_versioned(file, path, meta, 3, codec)
+        Self::from_writer(file, path, meta, codec)
     }
 }
 
 impl TraceWriter<Cursor<Vec<u8>>> {
-    /// An in-memory writer (backed by a `Cursor<Vec<u8>>`), for tests and
-    /// chaos pipelines that never touch disk.
+    /// An in-memory writer (backed by a `Cursor<Vec<u8>>`) storing every
+    /// frame raw, for tests and chaos pipelines that never touch disk.
     pub fn in_memory(meta: &TraceMeta) -> Result<Self, String> {
-        Self::from_writer(Cursor::new(Vec::new()), "<memory>", meta)
+        Self::in_memory_compressed(meta, Codec::Raw)
     }
 
-    /// An in-memory v3 writer with the given frame codec.
+    /// An in-memory writer with the given frame codec.
     pub fn in_memory_compressed(meta: &TraceMeta, codec: Codec) -> Result<Self, String> {
-        Self::from_writer_versioned(Cursor::new(Vec::new()), "<memory>", meta, 3, codec)
+        Self::from_writer(Cursor::new(Vec::new()), "<memory>", meta, codec)
     }
 
     /// Unwraps the encoded bytes.
@@ -300,29 +270,13 @@ impl TraceWriter<Cursor<Vec<u8>>> {
 }
 
 impl<W: Write + Seek> TraceWriter<W> {
-    /// Starts a v2 trace on an arbitrary `Write + Seek` stream (assumed to
-    /// be positioned at offset 0). `target` names the stream in errors and
-    /// events.
-    pub fn from_writer(out: W, target: &str, meta: &TraceMeta) -> Result<Self, String> {
-        Self::from_writer_versioned(out, target, meta, 2, Codec::Raw)
-    }
-
-    /// Starts a v3 trace on an arbitrary stream, encoding frames under
-    /// `codec`.
-    pub fn from_writer_compressed(
+    /// Starts a trace on an arbitrary `Write + Seek` stream (assumed to be
+    /// positioned at offset 0), encoding frames under `codec`. `target`
+    /// names the stream in errors and events.
+    pub fn from_writer(
         out: W,
         target: &str,
         meta: &TraceMeta,
-        codec: Codec,
-    ) -> Result<Self, String> {
-        Self::from_writer_versioned(out, target, meta, 3, codec)
-    }
-
-    fn from_writer_versioned(
-        out: W,
-        target: &str,
-        meta: &TraceMeta,
-        layout: u32,
         codec: Codec,
     ) -> Result<Self, String> {
         let mut this = Self {
@@ -343,10 +297,9 @@ impl<W: Write + Seek> TraceWriter<W> {
             dropped_snapshots: 0,
             error: None,
             finished: false,
-            layout,
             codec,
         };
-        this.scratch.extend_from_slice(magic_for(layout));
+        this.scratch.extend_from_slice(MAGIC);
         this.commit_scratch()?;
         let header =
             serde_json::to_string(meta).map_err(|e| format!("encode trace header: {e}"))?;
@@ -373,13 +326,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.unit_count
     }
 
-    /// The layout version this writer produces (1, 2, or 3).
-    pub fn layout_version(&self) -> u32 {
-        self.layout
-    }
-
-    /// The frame codec this writer applies (always [`Codec::Raw`] below
-    /// v3).
+    /// The frame codec this writer applies.
     pub fn codec(&self) -> Codec {
         self.codec
     }
@@ -441,10 +388,10 @@ impl<W: Write + Seek> TraceWriter<W> {
         }
     }
 
-    /// Frames `payload` into the scratch buffer (with CRC on v2+, and the
-    /// codec byte + stored encoding on v3) and commits it. Returns the
-    /// frame's *stored* payload length — what the trailer records for the
-    /// footer frame.
+    /// Frames `payload` into the scratch buffer — head, stored bytes
+    /// (encoded straight into the buffer), CRC — and commits it. Returns
+    /// the frame's *stored* payload length, which the trailer records for
+    /// the footer frame.
     fn write_frame(&mut self, kind: u8, payload: &[u8]) -> Result<u32, String> {
         if payload.len() > MAX_FRAME_LEN {
             return Err(format!(
@@ -453,27 +400,17 @@ impl<W: Write + Seek> TraceWriter<W> {
                 MAX_FRAME_LEN >> 20
             ));
         }
+        // Codec id and length are patched in once the stored form exists.
+        // Per-frame raw fallback inside `encode_into` guarantees the
+        // stored form never exceeds the (already capped) raw form.
         self.scratch.clear();
-        self.scratch.push(kind);
-        let len = if self.layout >= 3 {
-            // Per-frame raw fallback inside `encode` guarantees the
-            // stored form never exceeds the (already capped) raw form.
-            let (codec_id, stored) = codec::encode(self.codec, payload);
-            let len = stored.len() as u32;
-            self.scratch.push(codec_id);
-            self.scratch.extend_from_slice(&len.to_le_bytes());
-            self.scratch.extend_from_slice(&stored);
-            len
-        } else {
-            let len = payload.len() as u32;
-            self.scratch.extend_from_slice(&len.to_le_bytes());
-            self.scratch.extend_from_slice(payload);
-            len
-        };
-        if self.layout >= 2 {
-            let crc = crc32::crc32(&self.scratch);
-            self.scratch.extend_from_slice(&crc.to_le_bytes());
-        }
+        self.scratch.extend_from_slice(&[kind, 0, 0, 0, 0, 0]);
+        let codec_id = codec::encode_into(self.codec, payload, &mut self.scratch);
+        let len = (self.scratch.len() - FRAME_HEAD) as u32;
+        self.scratch[1] = codec_id;
+        self.scratch[2..FRAME_HEAD].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32::crc32(&self.scratch);
+        self.scratch.extend_from_slice(&crc.to_le_bytes());
         self.commit_scratch()?;
         Ok(len)
     }
@@ -549,7 +486,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             return Err(e.clone());
         }
         let footer = TraceFooter {
-            version: self.layout,
+            version: FORMAT_VERSION,
             unit_count: self.unit_count,
             method_universe: self.method_universe,
             total_instrs: self.total_instrs,
@@ -565,7 +502,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         let stored_len = self.write_frame(FRAME_FOOTER, payload.as_bytes())?;
         self.scratch.clear();
         self.scratch.extend_from_slice(&stored_len.to_le_bytes());
-        self.scratch.extend_from_slice(magic_for(self.layout));
+        self.scratch.extend_from_slice(MAGIC);
         self.commit_scratch()?;
         self.retrying("flush", |out| out.flush())?;
         self.finished = true;
@@ -592,14 +529,11 @@ impl<W: Write + Seek + std::fmt::Debug> UnitSink for TraceWriter<W> {
 
 /// A streaming [`UnitStream`] over a chunked trace: holds one decoded
 /// chunk at a time and rewinds by seeking back to the first unit frame.
-/// Reads v3 (compressed), v2 (checksummed), and legacy v1 files,
-/// negotiated from the magic.
 #[derive(Debug)]
 pub struct TraceReader<R: Read + Seek = BufReader<File>> {
     file: R,
     path: String,
     meta: TraceMeta,
-    layout_version: u32,
     data_start: u64,
     chunk: Vec<SamplingUnit>,
     pos: usize,
@@ -640,36 +574,25 @@ impl<R: Read + Seek> TraceReader<R> {
                 io_err(path, "read", e)
             }
         })?;
-        let layout_version = if &magic == MAGIC {
-            2
-        } else if &magic == MAGIC_V1 {
-            1
-        } else if &magic == MAGIC_V3 {
-            3
-        } else {
-            return Err(format!(
-                "{path}: not a chunked simprof trace (bad magic {magic:?}; expected {MAGIC:?})"
-            ));
-        };
-        let (kind, payload, codec_id, stored_len) = read_frame(&mut file, path, layout_version)?;
-        if kind != FRAME_HEADER {
-            return Err(format!("{path}: expected header frame, found {:?}", kind as char));
+        check_magic(path, &magic)?;
+        let frame = read_frame(&mut file, path)?;
+        if frame.kind != FRAME_HEADER {
+            return Err(format!("{path}: expected header frame, found {:?}", frame.kind as char));
         }
-        let raw_len = payload.len() as u64;
+        let payload = frame.payload(path)?;
         let meta: TraceMeta = parse_payload(path, "header", &payload)?;
         let data_start = file.stream_position().map_err(|e| io_err(path, "seek", e))?;
         Ok(Self {
             file,
             path: path.to_owned(),
             meta,
-            layout_version,
             data_start,
             chunk: Vec::new(),
             pos: 0,
             done: false,
-            codecs_seen: 1 << codec_id.min(7),
-            stored_payload_bytes: stored_len,
-            raw_payload_bytes: raw_len,
+            codecs_seen: 1 << frame.codec.min(7),
+            stored_payload_bytes: frame.stored.len() as u64,
+            raw_payload_bytes: payload.len() as u64,
         })
     }
 
@@ -678,14 +601,9 @@ impl<R: Read + Seek> TraceReader<R> {
         &self.meta
     }
 
-    /// The layout version negotiated from the magic (1, 2, or 3).
-    pub fn layout_version(&self) -> u32 {
-        self.layout_version
-    }
-
-    /// Names of the frame codecs observed so far (v1/v2 frames count as
-    /// `raw`). Grows as frames are decoded — read the footer and stream
-    /// the units first for full coverage.
+    /// Names of the frame codecs observed so far. Grows as frames are
+    /// decoded — read the footer and stream the units first for full
+    /// coverage.
     pub fn codecs_seen(&self) -> Vec<&'static str> {
         (0u8..8)
             .filter(|&id| self.codecs_seen & (1 << id) != 0)
@@ -696,11 +614,18 @@ impl<R: Read + Seek> TraceReader<R> {
     /// `(stored, raw)` payload byte totals across the frames decoded so
     /// far — the compression accounting. Like [`codecs_seen`], the
     /// totals grow as frames are decoded: read the footer and stream the
-    /// units first for full coverage. For v1/v2 files stored equals raw.
+    /// units first for full coverage. For raw frames stored equals raw.
     ///
     /// [`codecs_seen`]: TraceReader::codecs_seen
     pub fn payload_bytes(&self) -> (u64, u64) {
         (self.stored_payload_bytes, self.raw_payload_bytes)
+    }
+
+    /// Adds one decoded frame to the compression accounting.
+    fn count_frame(&mut self, frame: &Frame, raw_len: usize) {
+        self.codecs_seen |= 1 << frame.codec.min(7);
+        self.stored_payload_bytes += frame.stored.len() as u64;
+        self.raw_payload_bytes += raw_len as u64;
     }
 
     /// Reads the footer via the 12-byte trailer (seek from end), leaving
@@ -724,7 +649,7 @@ impl<R: Read + Seek> TraceReader<R> {
         self.file.seek(SeekFrom::End(-12)).map_err(|e| io_err(&path, "seek", e))?;
         let mut trailer = [0u8; 12];
         self.file.read_exact(&mut trailer).map_err(|e| io_err(&path, "read", e))?;
-        if &trailer[4..12] != magic_for(self.layout_version) {
+        if &trailer[4..12] != MAGIC {
             return Err(format!(
                 "{path}: missing footer trailer (crash before finish, or truncation?); \
                  {SALVAGE_HINT}"
@@ -732,11 +657,9 @@ impl<R: Read + Seek> TraceReader<R> {
         }
         // The trailer's length is the footer frame's *stored* payload
         // length, so the seek arithmetic is exact even for compressed
-        // footers: [kind][codec?][len][stored][crc?].
+        // footers: [head][stored][crc].
         let len = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]) as u64;
-        let head_len: u64 = if self.layout_version >= 3 { 6 } else { 5 };
-        let crc_len: u64 = if self.layout_version >= 2 { 4 } else { 0 };
-        let frame_len = head_len + len + crc_len;
+        let frame_len = FRAME_HEAD as u64 + len + 4;
         if len > MAX_FRAME_LEN as u64 || frame_len + 12 > file_len {
             return Err(format!(
                 "{path}: corrupt trailer (footer length {len} does not fit the {file_len}-byte \
@@ -746,30 +669,21 @@ impl<R: Read + Seek> TraceReader<R> {
         self.file
             .seek(SeekFrom::End(-12 - frame_len as i64))
             .map_err(|e| io_err(&path, "seek", e))?;
-        let (kind, payload, codec_id, stored_len) =
-            read_frame(&mut self.file, &path, self.layout_version)?;
-        self.codecs_seen |= 1 << codec_id.min(7);
-        self.stored_payload_bytes += stored_len;
-        self.raw_payload_bytes += payload.len() as u64;
-        if kind != FRAME_FOOTER {
+        let frame = read_frame(&mut self.file, &path)?;
+        let payload = frame.payload(&path)?;
+        self.count_frame(&frame, payload.len());
+        if frame.kind != FRAME_FOOTER {
             return Err(format!(
                 "{path}: corrupt footer frame (kind {:?}); {SALVAGE_HINT}",
-                kind as char
+                frame.kind as char
             ));
         }
         let footer: TraceFooter = parse_payload(&path, "footer", &payload)?;
-        if footer.version > FORMAT_VERSION {
+        if footer.version != FORMAT_VERSION {
             return Err(format!(
-                "{path}: trace schema version {} was written by a newer simprof (this build \
-                 reads up to {FORMAT_VERSION})",
+                "{path}: footer schema version {} does not match the file's \
+                 v{FORMAT_VERSION} layout; {SALVAGE_HINT}",
                 footer.version
-            ));
-        }
-        if footer.version != self.layout_version {
-            return Err(format!(
-                "{path}: footer schema version {} does not match the file's v{} layout; \
-                 {SALVAGE_HINT}",
-                footer.version, self.layout_version
             ));
         }
         Ok(footer)
@@ -804,12 +718,10 @@ impl<R: Read + Seek> TraceReader<R> {
             if self.done {
                 return Ok(false);
             }
-            let (kind, payload, codec_id, stored_len) =
-                read_frame(&mut self.file, &self.path, self.layout_version)?;
-            self.codecs_seen |= 1 << codec_id.min(7);
-            self.stored_payload_bytes += stored_len;
-            self.raw_payload_bytes += payload.len() as u64;
-            match kind {
+            let frame = read_frame(&mut self.file, &self.path)?;
+            let payload = frame.payload(&self.path)?;
+            self.count_frame(&frame, payload.len());
+            match frame.kind {
                 FRAME_UNITS => {
                     let units: Vec<SamplingUnit> = parse_payload(&self.path, "chunk", &payload)?;
                     if units.is_empty() {
@@ -875,29 +787,29 @@ pub fn read_trace(path: &str) -> Result<(ProfileTrace, TraceFooter), String> {
     Ok((trace, footer))
 }
 
-/// Reads one frame, returning its kind, decoded payload, and codec id
-/// (always [`codec::CODEC_RAW`] below v3). Validates the length against
-/// [`MAX_FRAME_LEN`] *before* allocating, verifies the frame's CRC32
-/// (v2+) over the *stored* bytes, and only then decompresses (v3) — so a
-/// corrupt frame fails the checksum, not the decompressor.
-/// Reads one frame, returning `(kind, decoded payload, codec id, stored
-/// payload length)`. The stored length is what the frame occupies on
-/// disk before decoding, so readers can account compression without
-/// re-encoding.
-fn read_frame<R: Read>(
-    file: &mut R,
-    path: &str,
-    layout_version: u32,
-) -> Result<(u8, Vec<u8>, u8, u64), String> {
-    let mut kind = [0u8; 1];
-    file.read_exact(&mut kind).map_err(|e| io_err(path, "read", e))?;
-    let mut codec_byte = [codec::CODEC_RAW; 1];
-    if layout_version >= 3 {
-        file.read_exact(&mut codec_byte).map_err(|e| io_err(path, "read", e))?;
+/// One frame, checksummed, with its payload still in stored form.
+struct Frame {
+    kind: u8,
+    codec: u8,
+    stored: Vec<u8>,
+}
+
+impl Frame {
+    /// The decoded payload — for a raw frame, the stored bytes themselves.
+    fn payload(&self, path: &str) -> Result<Cow<'_, [u8]>, String> {
+        codec::decode(self.codec, &self.stored, MAX_FRAME_LEN)
+            .map_err(|e| format!("{path}: decode frame: {e}; {SALVAGE_HINT}"))
     }
-    let mut len_bytes = [0u8; 4];
-    file.read_exact(&mut len_bytes).map_err(|e| io_err(path, "read", e))?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
+}
+
+/// Reads one frame. Validates the length against [`MAX_FRAME_LEN`]
+/// *before* allocating and verifies the CRC32 over the head and the
+/// *stored* bytes; decoding is left to [`Frame::payload`], so a corrupt
+/// frame fails the checksum, not the decompressor.
+fn read_frame<R: Read>(file: &mut R, path: &str) -> Result<Frame, String> {
+    let mut head = [0u8; FRAME_HEAD];
+    file.read_exact(&mut head).map_err(|e| io_err(path, "read", e))?;
+    let len = u32::from_le_bytes([head[2], head[3], head[4], head[5]]) as usize;
     if len > MAX_FRAME_LEN {
         return Err(format!(
             "{path}: frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt or \
@@ -906,32 +818,20 @@ fn read_frame<R: Read>(
     }
     let mut stored = vec![0u8; len];
     file.read_exact(&mut stored).map_err(|e| io_err(path, "read", e))?;
-    if layout_version >= 2 {
-        let mut crc_bytes = [0u8; 4];
-        file.read_exact(&mut crc_bytes).map_err(|e| io_err(path, "read", e))?;
-        let expected = u32::from_le_bytes(crc_bytes);
-        let mut hasher = crc32::Hasher::new();
-        hasher.update(&kind);
-        if layout_version >= 3 {
-            hasher.update(&codec_byte);
-        }
-        hasher.update(&len_bytes);
-        hasher.update(&stored);
-        let actual = hasher.finalize();
-        if actual != expected {
-            return Err(format!(
-                "{path}: frame checksum mismatch (stored {expected:#010x}, computed \
-                 {actual:#010x}); {SALVAGE_HINT}"
-            ));
-        }
+    let mut crc_bytes = [0u8; 4];
+    file.read_exact(&mut crc_bytes).map_err(|e| io_err(path, "read", e))?;
+    let expected = u32::from_le_bytes(crc_bytes);
+    let mut hasher = crc32::Hasher::new();
+    hasher.update(&head);
+    hasher.update(&stored);
+    let actual = hasher.finalize();
+    if actual != expected {
+        return Err(format!(
+            "{path}: frame checksum mismatch (stored {expected:#010x}, computed \
+             {actual:#010x}); {SALVAGE_HINT}"
+        ));
     }
-    let payload = if layout_version >= 3 {
-        codec::decode(codec_byte[0], &stored, MAX_FRAME_LEN)
-            .map_err(|e| format!("{path}: decode frame: {e}; {SALVAGE_HINT}"))?
-    } else {
-        stored
-    };
-    Ok((kind[0], payload, codec_byte[0], len as u64))
+    Ok(Frame { kind: head[0], codec: head[1], stored })
 }
 
 pub(crate) fn parse_payload<T: Deserialize>(
@@ -982,7 +882,7 @@ mod tests {
         std::env::temp_dir().join(name).to_str().unwrap().to_owned()
     }
 
-    /// Seals `n` units into in-memory v2 trace bytes.
+    /// Seals `n` units into in-memory raw trace bytes.
     fn memory_trace(n: u64, chunk: usize) -> Vec<u8> {
         let mut w = TraceWriter::in_memory(&meta()).unwrap().with_chunk_units(chunk);
         for id in 0..n {
@@ -1008,10 +908,9 @@ mod tests {
         assert_eq!(footer.truncated_units, 4);
         assert_eq!(footer.registry.len(), 1);
 
-        assert!(is_chunked(&path));
+        assert_eq!(&std::fs::read(&path).unwrap()[..8], MAGIC);
         let mut r = TraceReader::open(&path).unwrap();
         assert_eq!(r.meta().label, "wc_sp");
-        assert_eq!(r.layout_version(), 2);
         assert_eq!(r.footer().unwrap(), footer);
         let mut ids = Vec::new();
         while let Some(u) = r.next_unit().unwrap() {
@@ -1048,8 +947,7 @@ mod tests {
         let mut w = TraceWriter::create(&path, &meta()).unwrap();
         let footer = w.finish(&MethodRegistry::new()).unwrap();
         assert_eq!(footer.unit_count, 0);
-        // The default writer stays on the v2 layout; v3 is opt-in.
-        assert_eq!(footer.version, 2);
+        assert_eq!(footer.version, FORMAT_VERSION);
         let (trace, _) = read_trace(&path).unwrap();
         assert!(trace.units.is_empty());
         let _ = std::fs::remove_file(&path);
@@ -1068,10 +966,9 @@ mod tests {
     fn non_trace_files_rejected() {
         let path = tmp("simprof_trace_not_a_trace.json");
         std::fs::write(&path, "{\"version\":1}").unwrap();
-        assert!(!is_chunked(&path));
         let err = TraceReader::open(&path).unwrap_err();
         assert!(err.contains("bad magic"), "{err}");
-        assert!(!is_chunked("/nonexistent/simprof.sptrc"));
+        assert!(TraceReader::open("/nonexistent/simprof.sptrc").is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1089,31 +986,62 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_read() {
-        let path = tmp("simprof_trace_legacy_v1.sptrc");
-        let mut reg = MethodRegistry::new();
-        reg.intern("Mapper.map", OpClass::Map);
-        let mut w = TraceWriter::create_legacy_v1(&path, &meta()).unwrap().with_chunk_units(3);
-        for id in 0..7 {
-            w.push(&unit(id));
+    fn retired_v1_and_v2_magics_are_rejected_by_name() {
+        let path = tmp("simprof_trace_retired.sptrc");
+        for version in [b'1', b'2'] {
+            // A sealed trace relabelled with a retired layout's magic.
+            let mut bytes = memory_trace(5, 2);
+            let n = bytes.len();
+            bytes[7] = version;
+            bytes[n - 1] = version;
+            let named = format!("layout v{} is no longer read", version as char);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = TraceReader::open(&path).unwrap_err();
+            assert!(err.contains(&named), "{err}");
+            assert!(err.contains("this build reads v3"), "{err}");
+            let err = TraceReader::open_salvage(&path).unwrap_err();
+            assert!(err.contains(&named), "{err}");
+            let err = salvage_bytes(&bytes, "<retired>").unwrap_err();
+            assert!(err.contains(&named), "{err}");
         }
-        let footer = w.finish(&reg).unwrap();
-        assert_eq!(footer.version, 1);
-        // The file leads with the v1 magic and contains no CRCs, yet the
-        // v2 reader negotiates it transparently.
-        let head = &std::fs::read(&path).unwrap()[..8];
-        assert_eq!(head, MAGIC_V1);
-        assert!(is_chunked(&path));
-        let mut r = TraceReader::open(&path).unwrap();
-        assert_eq!(r.layout_version(), 1);
-        assert_eq!(r.footer().unwrap(), footer);
-        let (trace, _) = read_trace(&path).unwrap();
-        assert_eq!(trace.units, (0..7).map(unit).collect::<Vec<_>>());
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Seals `n` units into in-memory v3 trace bytes under `codec`.
-    fn memory_trace_v3(n: u64, chunk: usize, codec: Codec) -> Vec<u8> {
+    /// Walks sealed trace bytes: `(kind, codec id, stored bytes)` per
+    /// frame, after checking that the frames and trailer tile the file.
+    fn frames(bytes: &[u8]) -> Vec<(u8, u8, &[u8])> {
+        let mut out = Vec::new();
+        let mut at = 8;
+        while at + 12 < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at + 2..at + 6].try_into().unwrap()) as usize;
+            out.push((bytes[at], bytes[at + 1], &bytes[at + 6..at + 6 + len]));
+            at += FRAME_HEAD + len + 4;
+        }
+        assert_eq!(at + 12, bytes.len(), "frames and trailer tile the file");
+        out
+    }
+
+    #[test]
+    fn raw_frames_store_the_json_payload_verbatim() {
+        let units: Vec<SamplingUnit> = (0..5).map(unit).collect();
+        let bytes = memory_trace(5, 2);
+        let frames = frames(&bytes);
+        let kinds: Vec<u8> = frames.iter().map(|f| f.0).collect();
+        assert_eq!(kinds, b"HUUUF");
+        assert!(frames.iter().all(|f| f.1 == codec::CODEC_RAW));
+        assert_eq!(frames[0].2, serde_json::to_string(&meta()).unwrap().as_bytes());
+        for (i, chunk) in units.chunks(2).enumerate() {
+            assert_eq!(frames[1 + i].2, serde_json::to_string(chunk).unwrap().as_bytes());
+        }
+        let footer: TraceFooter = serde_json::from_str(std::str::from_utf8(frames[4].2).unwrap())
+            .expect("the footer frame is plain JSON");
+        assert_eq!(footer.unit_count, 5);
+        // `in_memory` is the raw codec, not a layout of its own.
+        assert_eq!(memory_trace_with(5, 2, Codec::Raw), bytes);
+    }
+
+    /// Seals `n` units into in-memory trace bytes under `codec`.
+    fn memory_trace_with(n: u64, chunk: usize, codec: Codec) -> Vec<u8> {
         let mut w =
             TraceWriter::in_memory_compressed(&meta(), codec).unwrap().with_chunk_units(chunk);
         for id in 0..n {
@@ -1124,11 +1052,11 @@ mod tests {
     }
 
     #[test]
-    fn v3_lz_trace_roundtrips_and_shrinks() {
-        let raw = memory_trace_v3(64, 8, Codec::Raw);
-        let lz = memory_trace_v3(64, 8, Codec::Lz);
-        assert_eq!(&raw[..8], MAGIC_V3);
-        assert_eq!(&lz[..8], MAGIC_V3);
+    fn lz_trace_roundtrips_and_shrinks() {
+        let raw = memory_trace_with(64, 8, Codec::Raw);
+        let lz = memory_trace_with(64, 8, Codec::Lz);
+        assert_eq!(&raw[..8], MAGIC);
+        assert_eq!(&lz[..8], MAGIC);
         assert!(
             lz.len() < raw.len() * 3 / 4,
             "chunked JSON should compress well: raw {} vs lz {}",
@@ -1137,9 +1065,8 @@ mod tests {
         );
         for bytes in [raw, lz] {
             let mut r = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap();
-            assert_eq!(r.layout_version(), 3);
             let footer = r.footer().unwrap();
-            assert_eq!(footer.version, 3);
+            assert_eq!(footer.version, FORMAT_VERSION);
             assert_eq!(footer.unit_count, 64);
             let mut ids = Vec::new();
             while let Some(u) = r.next_unit().unwrap() {
@@ -1150,13 +1077,13 @@ mod tests {
     }
 
     #[test]
-    fn v3_writes_are_deterministic() {
-        assert_eq!(memory_trace_v3(32, 4, Codec::Lz), memory_trace_v3(32, 4, Codec::Lz));
+    fn lz_writes_are_deterministic() {
+        assert_eq!(memory_trace_with(32, 4, Codec::Lz), memory_trace_with(32, 4, Codec::Lz));
     }
 
     #[test]
-    fn v3_reader_reports_codecs_seen() {
-        let bytes = memory_trace_v3(16, 4, Codec::Lz);
+    fn reader_reports_codecs_seen() {
+        let bytes = memory_trace_with(16, 4, Codec::Lz);
         let mut r = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap();
         let _ = r.footer().unwrap();
         while r.next_unit().unwrap().is_some() {}
@@ -1166,23 +1093,21 @@ mod tests {
         let bytes = memory_trace(6, 2);
         let mut r = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap();
         while r.next_unit().unwrap().is_some() {}
-        assert_eq!(r.codecs_seen(), vec!["raw"], "v2 frames count as raw");
+        assert_eq!(r.codecs_seen(), vec!["raw"]);
     }
 
     #[test]
-    fn v3_file_roundtrips_through_create_compressed() {
-        let path = tmp("simprof_trace_v3_file.sptrc");
+    fn lz_file_roundtrips_through_create_compressed() {
+        let path = tmp("simprof_trace_lz_file.sptrc");
         let mut reg = MethodRegistry::new();
         reg.intern("Mapper.map", OpClass::Map);
         let mut w =
             TraceWriter::create_compressed(&path, &meta(), Codec::Lz).unwrap().with_chunk_units(5);
-        assert_eq!(w.layout_version(), 3);
         assert_eq!(w.codec(), Codec::Lz);
         for id in 0..23 {
             w.push(&unit(id));
         }
         let footer = w.finish(&reg).unwrap();
-        assert!(is_chunked(&path));
         let (trace, read_footer) = read_trace(&path).unwrap();
         assert_eq!(read_footer, footer);
         assert_eq!(trace.units, (0..23).map(unit).collect::<Vec<_>>());
@@ -1190,8 +1115,8 @@ mod tests {
     }
 
     #[test]
-    fn v3_flipped_stored_byte_fails_the_checksum_not_the_decompressor() {
-        let mut bytes = memory_trace_v3(32, 8, Codec::Lz);
+    fn lz_flipped_stored_byte_fails_the_checksum_not_the_decompressor() {
+        let mut bytes = memory_trace_with(32, 8, Codec::Lz);
         let target = bytes.len() / 2;
         bytes[target] ^= 0x10;
         let mut r = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap();
@@ -1229,7 +1154,7 @@ mod tests {
         // Magic + a frame claiming a ~4 GiB payload: must error on the
         // cap, not attempt the allocation.
         let mut bytes = MAGIC.to_vec();
-        bytes.push(FRAME_HEADER);
+        bytes.extend_from_slice(&[FRAME_HEADER, codec::CODEC_RAW]);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap_err();
         assert!(err.contains("exceeds the"), "{err}");
@@ -1288,7 +1213,7 @@ mod tests {
     fn transient_write_errors_are_retried_to_success() {
         let plan = ChaosPlan { write_error_ppm: 250_000, ..ChaosPlan::none(11) };
         let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
-        let mut w = TraceWriter::from_writer(chaos, "<chaos>", &meta())
+        let mut w = TraceWriter::from_writer(chaos, "<chaos>", &meta(), Codec::Raw)
             .unwrap()
             .with_chunk_units(2)
             .with_retry(RetryPolicy { max_retries: 8, backoff_ms: 0 });
@@ -1315,7 +1240,7 @@ mod tests {
     fn persistent_write_errors_latch_and_degrade() {
         let plan = ChaosPlan { write_error_ppm: 1_000_000, ..ChaosPlan::none(5) };
         let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
-        let err = TraceWriter::from_writer(chaos, "<chaos>", &meta())
+        let err = TraceWriter::from_writer(chaos, "<chaos>", &meta(), Codec::Raw)
             .expect_err("always-failing writer cannot even write the magic");
         assert!(err.contains("gave up after"), "{err}");
     }
@@ -1325,10 +1250,11 @@ mod tests {
         let plan = ChaosPlan { write_error_ppm: 1_000_000, ..ChaosPlan::none(5) };
         // Let construction succeed (no faults), then make every later
         // write fail: push must latch, not panic, and finish must report.
-        let mut w = TraceWriter::from_writer(Cursor::new(Vec::new()), "<memory>", &meta())
-            .unwrap()
-            .with_chunk_units(1)
-            .with_retry(RetryPolicy::none());
+        let mut w =
+            TraceWriter::from_writer(Cursor::new(Vec::new()), "<memory>", &meta(), Codec::Raw)
+                .unwrap()
+                .with_chunk_units(1)
+                .with_retry(RetryPolicy::none());
         // Swap in a chaos stream by rebuilding around the same bytes.
         let bytes = std::mem::replace(&mut w.out, Cursor::new(Vec::new())).into_inner();
         let pos = w.pos;
@@ -1352,7 +1278,6 @@ mod tests {
             dropped_snapshots: 0,
             error: None,
             finished: false,
-            layout: 2,
             codec: Codec::Raw,
         };
         w2.push(&unit(0));

@@ -11,8 +11,10 @@
 //! * the same chaos seed produces a bit-identical salvage outcome.
 //!
 //! The expected-recovery oracle walks the *uncorrupted* bytes with
-//! layout knowledge (v2 frame = `kind | len u32 LE | payload | crc32`)
-//! so the tests pin the format, not the implementation under test.
+//! layout knowledge (frame = `kind | codec | stored len u32 LE | stored |
+//! crc32`) so the tests pin the format, not the implementation under test.
+//! Every property runs for both codecs: raw frames, and LZ frames whose
+//! CRC covers the compressed bytes.
 
 use std::io::Cursor;
 
@@ -60,20 +62,10 @@ fn mk_registry() -> MethodRegistry {
     reg
 }
 
-/// Seals `units` into in-memory v2 trace bytes.
-fn seal(units: &[SamplingUnit], chunk: usize) -> Vec<u8> {
-    let mut w = TraceWriter::in_memory(&mk_meta()).unwrap().with_chunk_units(chunk);
-    for u in units {
-        w.push(u);
-    }
-    w.finish(&mk_registry()).unwrap();
-    w.into_bytes()
-}
-
-/// Seals `units` into in-memory v3 trace bytes under the LZ codec.
-fn seal_v3(units: &[SamplingUnit], chunk: usize) -> Vec<u8> {
+/// Seals `units` into in-memory trace bytes under `codec`.
+fn seal(units: &[SamplingUnit], chunk: usize, codec: Codec) -> Vec<u8> {
     let mut w =
-        TraceWriter::in_memory_compressed(&mk_meta(), Codec::Lz).unwrap().with_chunk_units(chunk);
+        TraceWriter::in_memory_compressed(&mk_meta(), codec).unwrap().with_chunk_units(chunk);
     for u in units {
         w.push(u);
     }
@@ -81,35 +73,17 @@ fn seal_v3(units: &[SamplingUnit], chunk: usize) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Walks an *uncorrupted* sealed v2 trace frame by frame using only
-/// layout knowledge. Returns `(kind, start, end)` per frame, ending at
-/// the footer frame (the 12-byte trailer follows the last entry).
+/// Walks an *uncorrupted* sealed trace frame by frame using only layout
+/// knowledge. Returns `(kind, start, end)` per frame, ending at the footer
+/// frame (the 12-byte trailer follows the last entry).
 fn frame_map(bytes: &[u8]) -> Vec<(u8, usize, usize)> {
     let mut frames = Vec::new();
     let mut at = 8; // past the magic
     loop {
         let kind = bytes[at];
-        let len = u32::from_le_bytes([bytes[at + 1], bytes[at + 2], bytes[at + 3], bytes[at + 4]])
-            as usize;
-        let end = at + 5 + len + 4; // v2: kind + len + payload + crc32
-        frames.push((kind, at, end));
-        if kind == b'F' {
-            return frames;
-        }
-        at = end;
-    }
-}
-
-/// Frame map for the v3 layout: `kind + codec + stored len u32 + stored
-/// bytes + crc32`, where the length counts post-codec bytes.
-fn frame_map_v3(bytes: &[u8]) -> Vec<(u8, usize, usize)> {
-    let mut frames = Vec::new();
-    let mut at = 8;
-    loop {
-        let kind = bytes[at];
         let len = u32::from_le_bytes([bytes[at + 2], bytes[at + 3], bytes[at + 4], bytes[at + 5]])
             as usize;
-        let end = at + 6 + len + 4;
+        let end = at + 6 + len + 4; // kind + codec + len + stored + crc32
         frames.push((kind, at, end));
         if kind == b'F' {
             return frames;
@@ -164,11 +138,72 @@ fn assert_stream_is_honest_prefix(bytes: &[u8], all: &[SamplingUnit]) {
     }
 }
 
+/// One single-bit flip at `fpos` (mod length): streaming yields an
+/// honest prefix, and salvage recovers exactly the chunks the flip did
+/// not touch. Under LZ the CRC over the *stored* bytes rejects a damaged
+/// frame before the decompressor sees it.
+fn check_flip(codec: Codec, n: u64, chunk: usize, fpos: usize, bit: u32) {
+    let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
+    let bytes = seal(&all, chunk, codec);
+    let f = fpos % bytes.len();
+    let mut corrupt = bytes.clone();
+    corrupt[f] ^= 1u8 << bit;
+
+    assert_stream_is_honest_prefix(&corrupt, &all);
+
+    let res = salvage_bytes(&corrupt, "<flip>");
+    if f < 8 {
+        // A flipped magic byte makes the file unidentifiable (or names a
+        // retired layout, which is no longer read).
+        prop_assert!(res.is_err());
+    } else {
+        let s = res.unwrap();
+        let frames = frame_map(&bytes);
+        let expected = expected_units(&all, chunk, &frames, |start, end| !(f >= start && f < end));
+        prop_assert_eq!(&s.units, &expected);
+        prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
+        prop_assert!(!s.report.clean, "a flipped byte can never leave the file clean");
+    }
+}
+
+/// One truncation at `tpos` (mod length + 1) — including mid-magic,
+/// mid-frame and pre-footer — salvages exactly the fully intact chunk
+/// prefix, and the salvage re-sealed under the same codec
+/// (`trace-repair`'s rewrite) round-trips bit-identically.
+fn check_truncation(codec: Codec, n: u64, chunk: usize, tpos: usize) {
+    let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
+    let bytes = seal(&all, chunk, codec);
+    let t = tpos % (bytes.len() + 1);
+    let cut = &bytes[..t];
+
+    assert_stream_is_honest_prefix(cut, &all);
+
+    let s = salvage_bytes(cut, "<cut>").unwrap();
+    let frames = frame_map(&bytes);
+    let expected = expected_units(&all, chunk, &frames, |_, end| end <= t);
+    prop_assert_eq!(&s.units, &expected);
+    prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
+    prop_assert_eq!(s.report.clean, t == bytes.len());
+    prop_assert_eq!(s.report.file_bytes, t as u64);
+
+    let mut w = TraceWriter::in_memory_compressed(&s.meta, codec).unwrap();
+    for u in &s.units {
+        w.push(u);
+    }
+    let sealed = w.finish(&s.footer.registry).unwrap();
+    prop_assert_eq!(sealed.unit_count, s.report.recovered_units);
+    let mut r = TraceReader::from_reader(Cursor::new(w.into_bytes()), "<repaired>").unwrap();
+    prop_assert_eq!(r.footer().unwrap().unit_count, s.units.len() as u64);
+    let mut back = Vec::new();
+    while let Some(u) = r.next_unit().unwrap() {
+        back.push(u.clone());
+    }
+    prop_assert_eq!(back, s.units);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any single-byte bit flip: streaming yields an honest prefix, and
-    /// salvage recovers exactly the chunks the flip did not touch.
     #[test]
     fn single_byte_flip_never_panics_never_lies(
         n in 0u64..18,
@@ -176,210 +211,43 @@ proptest! {
         fpos in 0usize..1_000_000,
         bit in 0u32..8,
     ) {
-        let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let bytes = seal(&all, chunk);
-        let f = fpos % bytes.len();
-        let mut corrupt = bytes.clone();
-        corrupt[f] ^= 1u8 << bit;
-
-        assert_stream_is_honest_prefix(&corrupt, &all);
-
-        let res = salvage_bytes(&corrupt, "<flip>");
-        if f < 8 {
-            // A flipped magic byte makes the file unidentifiable; both
-            // magics differ from each other by more than one bit, so a
-            // single flip can never alias layouts.
-            prop_assert!(res.is_err());
-        } else {
-            let s = res.unwrap();
-            let frames = frame_map(&bytes);
-            let expected = expected_units(&all, chunk, &frames, |start, end| {
-                !(f >= start && f < end)
-            });
-            prop_assert_eq!(&s.units, &expected);
-            prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
-            prop_assert!(!s.report.clean, "a flipped byte can never leave the file clean");
-        }
+        check_flip(Codec::Raw, n, chunk, fpos, bit);
     }
 
-    /// Any truncation offset — including mid-magic, mid-frame and
-    /// pre-footer — salvages successfully, recovering exactly the fully
-    /// intact chunk prefix, and the salvage re-seals into a valid trace
-    /// that round-trips bit-identically.
     #[test]
     fn truncation_recovers_exactly_the_intact_chunk_prefix(
         n in 0u64..18,
         chunk in 1usize..6,
         tpos in 0usize..1_000_000,
     ) {
-        let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let bytes = seal(&all, chunk);
-        let t = tpos % (bytes.len() + 1);
-        let cut = &bytes[..t];
-
-        assert_stream_is_honest_prefix(cut, &all);
-
-        let s = salvage_bytes(cut, "<cut>").unwrap();
-        let frames = frame_map(&bytes);
-        let expected = expected_units(&all, chunk, &frames, |_, end| end <= t);
-        prop_assert_eq!(&s.units, &expected);
-        prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
-        prop_assert_eq!(s.report.clean, t == bytes.len());
-        prop_assert_eq!(s.report.file_bytes, t as u64);
-
-        // trace-repair's rewrite: re-seal the salvage and stream it back.
-        let mut w = TraceWriter::in_memory(&s.meta).unwrap();
-        for u in &s.units {
-            w.push(u);
-        }
-        let sealed = w.finish(&s.footer.registry).unwrap();
-        prop_assert_eq!(sealed.unit_count, s.report.recovered_units);
-        let repaired = w.into_bytes();
-        let mut r = TraceReader::from_reader(Cursor::new(repaired), "<repaired>")
-            .unwrap();
-        let footer = r.footer().unwrap();
-        prop_assert_eq!(footer.unit_count, s.units.len() as u64);
-        let mut back = Vec::new();
-        while let Some(u) = r.next_unit().unwrap() {
-            back.push(u.clone());
-        }
-        prop_assert_eq!(back, s.units);
+        check_truncation(Codec::Raw, n, chunk, tpos);
     }
 
-    /// v3 (compressed) files under a single-byte flip: the CRC over the
-    /// *stored* bytes rejects the frame before the decompressor sees it,
-    /// streaming stays an honest prefix, and salvage recovers exactly the
-    /// untouched chunks — decompressed back to the original units.
     #[test]
-    fn v3_single_byte_flip_never_panics_never_lies(
+    fn lz_single_byte_flip_never_panics_never_lies(
         n in 0u64..18,
         chunk in 1usize..6,
         fpos in 0usize..1_000_000,
         bit in 0u32..8,
     ) {
-        let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let bytes = seal_v3(&all, chunk);
-        let f = fpos % bytes.len();
-        let mut corrupt = bytes.clone();
-        corrupt[f] ^= 1u8 << bit;
-
-        assert_stream_is_honest_prefix(&corrupt, &all);
-
-        let res = salvage_bytes(&corrupt, "<v3flip>");
-        if f < 8 {
-            prop_assert!(res.is_err());
-        } else {
-            let s = res.unwrap();
-            prop_assert_eq!(s.report.layout_version, 3);
-            let frames = frame_map_v3(&bytes);
-            let expected = expected_units(&all, chunk, &frames, |start, end| {
-                !(f >= start && f < end)
-            });
-            prop_assert_eq!(&s.units, &expected);
-            prop_assert!(!s.report.clean);
-        }
+        check_flip(Codec::Lz, n, chunk, fpos, bit);
     }
 
-    /// v3 truncation — including cuts that split a compressed frame —
-    /// salvages exactly the intact chunk prefix, and re-sealing under the
-    /// same codec round-trips.
     #[test]
-    fn v3_truncation_recovers_exactly_the_intact_chunk_prefix(
+    fn lz_truncation_recovers_exactly_the_intact_chunk_prefix(
         n in 0u64..18,
         chunk in 1usize..6,
         tpos in 0usize..1_000_000,
     ) {
-        let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let bytes = seal_v3(&all, chunk);
-        let t = tpos % (bytes.len() + 1);
-        let cut = &bytes[..t];
-
-        assert_stream_is_honest_prefix(cut, &all);
-
-        let s = salvage_bytes(cut, "<v3cut>").unwrap();
-        let frames = frame_map_v3(&bytes);
-        let expected = expected_units(&all, chunk, &frames, |_, end| end <= t);
-        prop_assert_eq!(&s.units, &expected);
-        prop_assert_eq!(s.report.clean, t == bytes.len());
-
-        // Re-seal the salvage compressed and stream it back.
-        let mut w = TraceWriter::in_memory_compressed(&s.meta, Codec::Lz).unwrap();
-        for u in &s.units {
-            w.push(u);
-        }
-        w.finish(&s.footer.registry).unwrap();
-        let mut r = TraceReader::from_reader(Cursor::new(w.into_bytes()), "<v3repaired>")
-            .unwrap();
-        prop_assert_eq!(r.footer().unwrap().unit_count, s.units.len() as u64);
-        let mut back = Vec::new();
-        while let Some(u) = r.next_unit().unwrap() {
-            back.push(u.clone());
-        }
-        prop_assert_eq!(back, s.units);
-    }
-
-    /// v1 (CRC-less) files: truncation still salvages to exactly the
-    /// intact chunk prefix — validation falls back to JSON parsing.
-    #[test]
-    fn legacy_v1_truncation_salvages_intact_prefix(
-        n in 0u64..12,
-        chunk in 1usize..5,
-        tpos in 0usize..1_000_000,
-    ) {
-        let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let path = std::env::temp_dir()
-            .join(format!("simprof_corrupt_v1_{n}_{chunk}_{tpos}.sptrc"))
-            .to_str()
-            .unwrap()
-            .to_owned();
-        let mut w =
-            TraceWriter::create_legacy_v1(&path, &mk_meta()).unwrap().with_chunk_units(chunk);
-        for u in &all {
-            w.push(u);
-        }
-        w.finish(&mk_registry()).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-
-        let t = tpos % (bytes.len() + 1);
-        let s = salvage_bytes(&bytes[..t], "<v1cut>").unwrap();
-        prop_assert_eq!(s.report.layout_version, if t >= 8 { 1 } else { 2 });
-
-        // v1 frame = kind + len + payload (no CRC): walk accordingly.
-        let mut expected = Vec::new();
-        let mut next = 0usize;
-        let mut at = 8usize;
-        loop {
-            let kind = bytes[at];
-            let len = u32::from_le_bytes([
-                bytes[at + 1],
-                bytes[at + 2],
-                bytes[at + 3],
-                bytes[at + 4],
-            ]) as usize;
-            let end = at + 5 + len;
-            if kind == b'U' {
-                let take = (all.len() - next).min(chunk);
-                if end <= t {
-                    expected.extend_from_slice(&all[next..next + take]);
-                }
-                next += take;
-            }
-            if kind == b'F' {
-                break;
-            }
-            at = end;
-        }
-        prop_assert_eq!(&s.units, &expected);
+        check_truncation(Codec::Lz, n, chunk, tpos);
     }
 }
 
 /// The acceptance criterion, pinned exhaustively: a small trace truncated
 /// at *every* byte offset is openable via salvage.
-#[test]
-fn every_truncation_offset_salvages() {
+fn sweep_every_truncation_offset(codec: Codec) {
     let all: Vec<SamplingUnit> = (0..7).map(mk_unit).collect();
-    let bytes = seal(&all, 2);
+    let bytes = seal(&all, 2, codec);
     let frames = frame_map(&bytes);
     for t in 0..=bytes.len() {
         let s = salvage_bytes(&bytes[..t], "<sweep>")
@@ -391,19 +259,14 @@ fn every_truncation_offset_salvages() {
     }
 }
 
-/// The exhaustive truncation sweep, repeated for the compressed layout.
 #[test]
-fn every_v3_truncation_offset_salvages() {
-    let all: Vec<SamplingUnit> = (0..7).map(mk_unit).collect();
-    let bytes = seal_v3(&all, 2);
-    let frames = frame_map_v3(&bytes);
-    for t in 0..=bytes.len() {
-        let s = salvage_bytes(&bytes[..t], "<v3sweep>")
-            .unwrap_or_else(|e| panic!("v3 truncation at offset {t} must salvage: {e}"));
-        let expected = expected_units(&all, 2, &frames, |_, end| end <= t);
-        assert_eq!(s.units, expected, "offset {t}");
-        assert_eq!(s.report.clean, t == bytes.len(), "offset {t}");
-    }
+fn every_truncation_offset_salvages() {
+    sweep_every_truncation_offset(Codec::Raw);
+}
+
+#[test]
+fn every_lz_truncation_offset_salvages() {
+    sweep_every_truncation_offset(Codec::Lz);
 }
 
 /// The same chaos seed replays the same faults, so the whole
@@ -416,7 +279,7 @@ fn same_chaos_seed_yields_bit_identical_salvage() {
         let plan =
             ChaosPlan { bit_flip_ppm: 120_000, truncate_at: Some(1700), ..ChaosPlan::none(seed) };
         let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
-        let mut w = TraceWriter::from_writer(chaos, "<chaos>", &mk_meta())
+        let mut w = TraceWriter::from_writer(chaos, "<chaos>", &mk_meta(), Codec::Raw)
             .ok()?
             .with_chunk_units(3)
             .with_retry(RetryPolicy { max_retries: 4, backoff_ms: 0 });

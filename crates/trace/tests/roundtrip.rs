@@ -103,9 +103,7 @@ proptest! {
 
         // Footer statistics agree with the trace's own accessors.
         prop_assert_eq!(read_footer.clone(), footer);
-        // The default writer stays on the v2 layout (v3 compression is
-        // opt-in), so sealed footers carry version 2.
-        prop_assert_eq!(footer.version, 2);
+        prop_assert_eq!(footer.version, 3);
         prop_assert_eq!(footer.unit_count, trace.units.len() as u64);
         prop_assert_eq!(footer.method_universe, trace.method_universe());
         prop_assert_eq!(footer.total_instrs, trace.total_instrs());

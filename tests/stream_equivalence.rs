@@ -1,8 +1,8 @@
 //! The streaming equivalence contract, pinned end to end: a trace analyzed
-//! **in memory**, via the **legacy JSON bundle**, or **streamed from a
-//! chunked file** must produce bit-identical analyses — and the streaming
-//! two-pass feature fit must reproduce the dense batch construction
-//! exactly.
+//! **in memory**, **streamed from a raw `.sptrc` file**, or **streamed from
+//! an LZ-coded `.sptrc` file** must produce bit-identical analyses — and
+//! the streaming two-pass feature fit must reproduce the dense batch
+//! construction exactly.
 //!
 //! These are the acceptance tests for the streaming trace architecture; if
 //! the chunked codec, the sink path, or the two-pass pipeline ever drift
@@ -15,9 +15,8 @@ use simprof::core::{vectorize, FeatureSpace, SimProf, SimProfConfig};
 use simprof::engine::MethodId;
 use simprof::profiler::{ProfileTrace, SamplingUnit};
 use simprof::sim::Counters;
-use simprof::trace::{TraceMeta, TraceReader, TraceWriter};
+use simprof::trace::{Codec, TraceMeta, TraceReader, TraceWriter};
 use simprof::workloads::{Benchmark, Framework, WorkloadConfig};
-use simprof_cli::bundle::{TraceBundle, FORMAT_VERSION};
 use simprof_cli::input::TraceInput;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,7 +30,7 @@ fn temp_trace_path(tag: &str) -> String {
     path.to_str().expect("utf-8 temp path").to_owned()
 }
 
-fn write_chunked(trace: &ProfileTrace, path: &str, chunk_units: usize) {
+fn write_chunked(trace: &ProfileTrace, path: &str, chunk_units: usize, codec: Codec) {
     let meta = TraceMeta {
         label: "stream_eq".into(),
         seed: 0,
@@ -40,7 +39,8 @@ fn write_chunked(trace: &ProfileTrace, path: &str, chunk_units: usize) {
         snapshot_instrs: trace.snapshot_instrs,
         core: trace.core,
     };
-    let mut w = TraceWriter::create(path, &meta).unwrap().with_chunk_units(chunk_units);
+    let mut w =
+        TraceWriter::create_compressed(path, &meta, codec).unwrap().with_chunk_units(chunk_units);
     for u in &trace.units {
         w.push(u);
     }
@@ -51,7 +51,7 @@ fn write_chunked(trace: &ProfileTrace, path: &str, chunk_units: usize) {
 /// all three input paths, must agree bit for bit — including the
 /// downstream point selection.
 #[test]
-fn analysis_is_bit_identical_across_memory_bundle_and_chunked_file() {
+fn analysis_is_bit_identical_across_memory_raw_and_lz_files() {
     let cfg = WorkloadConfig::tiny(7);
     let out = Benchmark::WordCount.run_full(Framework::Spark, &cfg);
     let sp = SimProf::default();
@@ -59,28 +59,20 @@ fn analysis_is_bit_identical_across_memory_bundle_and_chunked_file() {
     // Path 1: the in-memory trace, no disk round-trip.
     let in_memory = sp.analyze(&out.trace).unwrap();
 
-    // Path 2: the legacy monolithic JSON bundle.
-    let bundle_path = temp_trace_path("bundle");
-    let bundle_path = bundle_path.trim_end_matches(".sptrc").to_owned() + ".json";
-    TraceBundle {
-        version: FORMAT_VERSION,
-        label: "wc_sp".into(),
-        seed: 7,
-        scale: "tiny".into(),
-        trace: out.trace.clone(),
-        registry: out.registry.clone(),
-    }
-    .save(&bundle_path)
-    .unwrap();
-    let via_bundle = TraceInput::open(&bundle_path).unwrap().analyze(&sp).unwrap();
+    // Paths 2 and 3: the streamed file with raw and with LZ frames, small
+    // chunks to force many chunk-boundary crossings per pass.
+    let raw_path = temp_trace_path("raw");
+    write_chunked(&out.trace, &raw_path, 8, Codec::Raw);
+    let via_raw = TraceInput::open(&raw_path).unwrap().analyze(&sp).unwrap();
+    let lz_path = temp_trace_path("lz");
+    write_chunked(&out.trace, &lz_path, 8, Codec::Lz);
+    let via_lz = TraceInput::open(&lz_path).unwrap().analyze(&sp).unwrap();
+    assert!(
+        std::fs::metadata(&lz_path).unwrap().len() < std::fs::metadata(&raw_path).unwrap().len(),
+        "the LZ leg must actually store compressed frames"
+    );
 
-    // Path 3: the chunked streaming file, small chunks to force many
-    // chunk-boundary crossings per pass.
-    let chunked_path = temp_trace_path("accept");
-    write_chunked(&out.trace, &chunked_path, 8);
-    let via_chunked = TraceInput::open(&chunked_path).unwrap().analyze(&sp).unwrap();
-
-    for other in [&via_bundle, &via_chunked] {
+    for other in [&via_raw, &via_lz] {
         assert_eq!(in_memory.cpis, other.cpis);
         assert_eq!(in_memory.model.assignments, other.model.assignments);
         assert_eq!(in_memory.model.space, other.model.space);
@@ -93,8 +85,8 @@ fn analysis_is_bit_identical_across_memory_bundle_and_chunked_file() {
         assert_eq!(a.points, b.points);
     }
 
-    let _ = std::fs::remove_file(&bundle_path);
-    let _ = std::fs::remove_file(&chunked_path);
+    let _ = std::fs::remove_file(&raw_path);
+    let _ = std::fs::remove_file(&lz_path);
 }
 
 /// Strategy: a synthetic trace with latent behaviours (same shape as
@@ -151,7 +143,7 @@ proptest! {
         let in_memory = sp.analyze(&trace).expect("valid trace");
 
         let path = temp_trace_path("prop");
-        write_chunked(&trace, &path, chunk);
+        write_chunked(&trace, &path, chunk, Codec::Raw);
         let mut reader = TraceReader::open(&path).unwrap();
         let streamed = sp.analyze_stream(&mut reader).expect("valid stream");
         let _ = std::fs::remove_file(&path);
