@@ -14,7 +14,7 @@
 //!     [--seed S] [--threads N] [-o BENCH_pipeline.json] \
 //!     [--report REPORT.json] [--events EVENTS.jsonl] \
 //!     [--timeline TIMELINE.json] [--trace-stream BENCH_trace_stream.json] \
-//!     [--mem-cap-mb N] [--chaos-smoke BENCH_chaos.json] [--live BENCH_live.json]
+//!     [--mem-cap-mb N] [--live BENCH_live.json]
 //! ```
 //!
 //! Every run times the full simulate→analyze hot path in four phases —
@@ -36,12 +36,12 @@
 //! With `-o`, writes a JSON record (units analyzed/sec, sweep wall-clock,
 //! thread count, speedup, phase breakdowns) that CI uploads as the
 //! `BENCH_pipeline.json` artifact to track the perf trajectory. With
-//! `--report`, the optimized run executes under an observability session
+//! `--report`, the optimized run executes under an installed `ObsContext`
 //! and writes the versioned run report (span tree, metrics, Eq. 1
 //! allocation table), which CI schema-checks with the `report_check` bin.
 //! `--events` streams the structured JSONL event log while the bench runs
 //! and `--timeline` converts the finished span tree to Chrome-trace JSON;
-//! either implies a session, and `report_check` validates both formats too.
+//! either implies a context, and `report_check` validates both formats too.
 //!
 //! With `--trace-stream`, additionally runs the streamed-vs-batch memory
 //! comparison: a heavy synthetic trace is written in the chunked
@@ -52,16 +52,6 @@
 //! bit-identical or the bench exits non-zero; `--mem-cap-mb` additionally
 //! fails the run when the *streamed* peak exceeds the cap (CI's large-trace
 //! memory smoke).
-//!
-//! With `--chaos-smoke`, runs the trace-durability smoke: a chunked trace
-//! is written through seeded fault-injecting I/O (`simprof-trace`'s
-//! [`ChaosWriter`]) to prove the writer's retry path reproduces the fault-free
-//! bytes exactly, then the sealed trace is truncated and bit-flipped at
-//! seeded positions and salvage-scanned — every recovered unit must match
-//! the original trace and the unit count must agree with the
-//! [`SalvageReport`](simprof_trace::SalvageReport); repaired files must
-//! re-read as clean. Violations exit non-zero; the JSON record is CI's
-//! `BENCH_chaos.json` artifact.
 
 use std::time::Instant;
 
@@ -76,10 +66,7 @@ use simprof_stats::{
     choose_k, choose_k_with_cache, kmeans, optimal_allocation, seeded, silhouette_score, stddev,
     DistCache, KMeans, Matrix, StratumStats,
 };
-use simprof_trace::{
-    read_trace, salvage_bytes, ChaosPlan, ChaosWriter, Codec, RetryPolicy, TraceMeta, TraceReader,
-    TraceWriter,
-};
+use simprof_trace::{read_trace, TraceMeta, TraceReader, TraceWriter};
 use simprof_workloads::{Benchmark, Framework, WorkloadConfig};
 
 /// Every allocation in this binary goes through the tracking allocator so
@@ -120,7 +107,6 @@ struct Args {
     timeline: Option<String>,
     trace_stream: Option<String>,
     mem_cap_mb: Option<usize>,
-    chaos_smoke: Option<String>,
     live: Option<String>,
 }
 
@@ -138,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
         timeline: None,
         trace_stream: None,
         mem_cap_mb: None,
-        chaos_smoke: None,
         live: None,
     };
     let quick = |args: &mut Args| {
@@ -180,7 +165,6 @@ fn parse_args() -> Result<Args, String> {
                 args.mem_cap_mb =
                     Some(value(&flag)?.parse().map_err(|e| format!("invalid --mem-cap-mb: {e}"))?)
             }
-            "--chaos-smoke" => args.chaos_smoke = Some(value(&flag)?),
             "--live" => args.live = Some(value(&flag)?),
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -410,183 +394,6 @@ fn trace_stream_bench(args: &Args, out_path: &str) -> Result<(), String> {
         println!("  memory smoke: streamed peak within {cap} MiB cap");
     }
 
-    let text = serde_json::to_string_pretty(&record).expect("record encodes");
-    std::fs::write(out_path, text).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
-}
-
-/// Splits `seed` into a derived position for chaos case `k` — the same
-/// deterministic mixing discipline the chaos plan itself uses, so a chaos
-/// smoke run is reproducible from `--seed` alone.
-fn chaos_case_pos(seed: u64, salt: u64, k: u64, modulus: usize) -> usize {
-    let mut x = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(k);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (x ^ (x >> 31)) as usize % modulus.max(1)
-}
-
-/// Checks one salvage result against the pristine trace: the report's unit
-/// count must match what was actually returned, recovered ids must be
-/// strictly increasing, and every recovered unit must be byte-for-byte the
-/// unit the original trace holds under that id — salvage may lose damaged
-/// chunks, it must never invent or alter a unit.
-fn verify_salvage(
-    s: &simprof_trace::Salvage,
-    original: &ProfileTrace,
-    case: &str,
-) -> Result<(), String> {
-    if s.units.len() as u64 != s.report.recovered_units {
-        return Err(format!(
-            "{case}: salvage returned {} units but reported {}",
-            s.units.len(),
-            s.report.recovered_units
-        ));
-    }
-    let mut last: Option<u64> = None;
-    for unit in &s.units {
-        if last.is_some_and(|l| unit.id <= l) {
-            return Err(format!("{case}: recovered unit ids not strictly increasing"));
-        }
-        last = Some(unit.id);
-        match original.units.get(unit.id as usize) {
-            Some(orig) if orig == unit => {}
-            _ => return Err(format!("{case}: recovered unit {} differs from original", unit.id)),
-        }
-    }
-    Ok(())
-}
-
-/// Trace-durability chaos smoke: transient-fault retry equivalence, then
-/// salvage correctness over seeded truncations and bit flips. See the
-/// module docs for the contract; any violation is an `Err` (→ non-zero
-/// exit in `main`).
-fn chaos_smoke(args: &Args, out_path: &str) -> Result<(), String> {
-    use std::io::Cursor;
-
-    let scale =
-        TraceScale { units: 120, hist_entries: 40, slices: 12, universe: 600, chunk_units: 8 };
-    let trace = heavy_trace(&scale, args.seed);
-    let meta = TraceMeta {
-        label: "bench_chaos".into(),
-        seed: args.seed,
-        scale: "chaos".into(),
-        unit_instrs: trace.unit_instrs,
-        snapshot_instrs: trace.snapshot_instrs,
-        core: trace.core,
-    };
-    let registry = simprof_engine::MethodRegistry::default();
-
-    // Fault-free reference bytes.
-    let mut clean = TraceWriter::in_memory(&meta)?.with_chunk_units(scale.chunk_units);
-    for u in &trace.units {
-        clean.push(u);
-    }
-    clean.finish(&registry)?;
-    let clean_bytes = clean.into_bytes();
-
-    // Phase 1 — transient faults: a seeded 15 % error / 20 % short-write
-    // storm on every write and flush. The writer's bounded retry rebuilds
-    // each frame from its start, so the surviving bytes must be exactly
-    // the fault-free bytes.
-    let plan = ChaosPlan {
-        write_error_ppm: 150_000,
-        short_write_ppm: 200_000,
-        flush_error_ppm: 150_000,
-        ..ChaosPlan::none(args.seed)
-    };
-    let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
-    let mut w = TraceWriter::from_writer(chaos, "<chaos>", &meta, Codec::Raw)?
-        .with_chunk_units(scale.chunk_units)
-        .with_retry(RetryPolicy { max_retries: 6, backoff_ms: 0 });
-    for u in &trace.units {
-        w.push(u);
-    }
-    w.finish(&registry)?;
-    let retries = w.retries();
-    let chaos_out = w.into_writer();
-    let counts = chaos_out.counts();
-    let chaos_bytes = chaos_out.into_inner().into_inner();
-    if chaos_bytes != clean_bytes {
-        return Err("chaos smoke: retried write diverged from fault-free bytes".into());
-    }
-    let injected = counts.write_errors + counts.short_writes + counts.flush_errors;
-    println!(
-        "chaos smoke: transient storm — {} write errors, {} short writes, {} flush errors \
-         over {} writes; {} retries, output bit-identical",
-        counts.write_errors, counts.short_writes, counts.flush_errors, counts.writes, retries
-    );
-
-    // Phase 2 — salvage over seeded truncations: cut the sealed trace at
-    // derived offsets (plus the pathological 0/1/EOF-1 edges) and demand
-    // every recovered unit matches the original, with the report agreeing.
-    let mut truncation_cases = 0u64;
-    let mut truncation_recovered = 0u64;
-    let mut cuts: Vec<usize> =
-        (0..24).map(|k| chaos_case_pos(args.seed, 0x7256_4341, k, clean_bytes.len())).collect();
-    cuts.extend([0, 1, 7, 8, clean_bytes.len() - 1, clean_bytes.len()]);
-    for t in cuts {
-        let s = salvage_bytes(&clean_bytes[..t], "<truncated>")?;
-        verify_salvage(&s, &trace, &format!("truncate@{t}"))?;
-        if s.report.clean != (t == clean_bytes.len()) {
-            return Err(format!("truncate@{t}: clean flag wrong ({})", s.report.clean));
-        }
-        truncation_cases += 1;
-        truncation_recovered += s.report.recovered_units;
-    }
-
-    // Phase 3 — salvage over seeded bit flips: damage must cost at most
-    // the chunk the flipped byte lives in, and a repair of the salvage
-    // must re-read as a clean, sealed trace holding exactly those units.
-    let mut flip_cases = 0u64;
-    let mut flip_recovered = 0u64;
-    for k in 0..16 {
-        let pos = 8 + chaos_case_pos(args.seed, 0x464C_4950, k, clean_bytes.len() - 8);
-        let bit = chaos_case_pos(args.seed, 0x4249_5453, k, 8) as u32;
-        let mut damaged = clean_bytes.clone();
-        damaged[pos] ^= 1 << bit;
-        let s = salvage_bytes(&damaged, "<flipped>")?;
-        verify_salvage(&s, &trace, &format!("flip@{pos}.{bit}"))?;
-        flip_cases += 1;
-        flip_recovered += s.report.recovered_units;
-
-        let mut repair = TraceWriter::in_memory(&s.meta)?.with_chunk_units(scale.chunk_units);
-        for u in &s.units {
-            repair.push(u);
-        }
-        repair.finish(&s.footer.registry)?;
-        let repaired = salvage_bytes(&repair.into_bytes(), "<repaired>")?;
-        if !repaired.report.clean || repaired.units != s.units {
-            return Err(format!("flip@{pos}.{bit}: repair did not round-trip clean"));
-        }
-    }
-    println!(
-        "chaos smoke: {truncation_cases} truncations ({truncation_recovered} units recovered), \
-         {flip_cases} bit flips ({flip_recovered} units recovered), all verified against the \
-         original trace"
-    );
-
-    let record = serde_json::json!({
-        "bench": "trace_durability/chaos_smoke",
-        "seed": args.seed,
-        "units": trace.units.len(),
-        "chunk_units": scale.chunk_units,
-        "trace_bytes": clean_bytes.len(),
-        "transient": serde_json::json!({
-            "write_errors": counts.write_errors,
-            "short_writes": counts.short_writes,
-            "flush_errors": counts.flush_errors,
-            "writes": counts.writes,
-            "retries": retries,
-            "faults_injected": injected,
-            "bit_identical": true,
-        }),
-        "truncation_cases": truncation_cases,
-        "truncation_units_recovered": truncation_recovered,
-        "bit_flip_cases": flip_cases,
-        "bit_flip_units_recovered": flip_recovered,
-        "all_verified": true,
-    });
     let text = serde_json::to_string_pretty(&record).expect("record encodes");
     std::fs::write(out_path, text).map_err(|e| format!("write {out_path}: {e}"))?;
     println!("wrote {out_path}");
@@ -1116,13 +923,6 @@ fn main() {
 
     if let Some(path) = &args.trace_stream {
         if let Err(e) = trace_stream_bench(&args, path) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(path) = &args.chaos_smoke {
-        if let Err(e) = chaos_smoke(&args, path) {
             eprintln!("error: {e}");
             std::process::exit(1);
         }

@@ -1,4 +1,4 @@
-//! The streaming event log: a live, ordered record of what a session did.
+//! The streaming event log: a live, ordered record of what a job did.
 //!
 //! Where the [`crate::report`] module assembles one post-hoc snapshot, an
 //! [`EventSink`] receives every span open/close, counter delta, gauge
@@ -37,8 +37,9 @@
 //!
 //! Sink state lives in the owning [`crate::ObsContext`] (one [`SinkSlot`]
 //! per context), so concurrent jobs stream to independent logs with
-//! independent `seq` counters. The free functions here operate on the
-//! calling thread's current context.
+//! independent `seq` counters: install one with
+//! [`crate::ObsContext::install_sink`]. The emission hooks here operate on
+//! the calling thread's current context.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -135,29 +136,13 @@ pub fn streaming() -> bool {
     context::streaming_ctx().is_some()
 }
 
-/// Installs `sink` on the calling thread's current context, replacing
-/// (and flushing) any previous one. With no current context the sink is
-/// dropped. The context's `finish_report`/`stop` uninstalls
-/// automatically.
-pub fn install(sink: Box<dyn EventSink>) {
-    if let Some(ctx) = context::current_recording() {
-        ctx.install_sink(sink);
-    }
-}
-
-/// Removes and flushes the current context's sink, if any. Returns
-/// whether a sink was installed.
-pub fn uninstall() -> bool {
-    context::current_recording().is_some_and(|ctx| ctx.uninstall_sink())
-}
-
 /// One event-log record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Schema version ([`EVENT_SCHEMA_VERSION`] for records this build
     /// emits).
     pub v: u32,
-    /// Strictly increasing per session; file order equals `seq` order.
+    /// Strictly increasing per context; file order equals `seq` order.
     pub seq: u64,
     /// Microseconds since the process span epoch; non-decreasing in file
     /// order.
@@ -509,7 +494,7 @@ impl EventSink for JsonlEventWriter {
 }
 
 /// Collects events into a shared `Vec` — for tests that need to inspect
-/// what was emitted after the session uninstalls the sink.
+/// what was emitted after the context uninstalls the sink.
 pub struct CollectSink(pub Arc<Mutex<Vec<Event>>>);
 
 impl EventSink for CollectSink {
@@ -624,12 +609,12 @@ mod tests {
         let ctx = crate::ObsContext::new();
         let _installed = ctx.install();
         let store = Arc::new(Mutex::new(Vec::new()));
-        install(Box::new(CollectSink(Arc::clone(&store))));
+        ctx.install_sink(Box::new(CollectSink(Arc::clone(&store))));
         {
             let _s = crate::span!("evt.outer");
             crate::counter_add("evt.count", 3);
         }
-        assert!(uninstall());
+        assert!(ctx.uninstall_sink());
         ctx.stop();
 
         let events = store.lock().unwrap();
@@ -658,7 +643,7 @@ mod tests {
         assert!(!streaming());
         fault_event("engine.faults.crash", Value::Null);
         unit_closed(1, 2, 3, 4, false);
-        assert!(!uninstall(), "nothing was installed");
+        assert!(!ctx.uninstall_sink(), "nothing was installed");
     }
 
     #[test]
@@ -667,7 +652,7 @@ mod tests {
         let path = dir.join(format!("simprof_events_test_{}.jsonl", std::process::id()));
         let ctx = crate::ObsContext::new();
         let _installed = ctx.install();
-        install(Box::new(JsonlEventWriter::create(&path).expect("create log")));
+        ctx.install_sink(Box::new(JsonlEventWriter::create(&path).expect("create log")));
         {
             let _s = crate::span!("evt.jsonl");
         }

@@ -1,6 +1,6 @@
 //! The run report: one versioned JSON document per observed run.
 //!
-//! A [`RunReport`] carries everything a session collected — the span tree
+//! A [`RunReport`] carries everything a context collected — the span tree
 //! and the metric snapshot — plus caller-attached *sections* (free-form
 //! JSON values keyed by name: the phase summary, the Eq. 1 allocation
 //! table, the estimate). The document is versioned so downstream tooling
@@ -29,7 +29,7 @@ pub struct SpanNode {
     pub name: String,
     /// Small sequential id of the thread the span ran on.
     pub thread: usize,
-    /// Microseconds from the session's first span to this span's entry.
+    /// Microseconds from the context's first span to this span's entry.
     pub start_us: u64,
     /// Wall-clock the span covered, in microseconds (monotonic).
     pub elapsed_us: u64,
@@ -57,7 +57,7 @@ pub struct RunReport {
     /// Root spans (one subtree per top-level span; worker threads' spans
     /// root at their own thread), in entry order.
     pub spans: Vec<SpanNode>,
-    /// The session's metric snapshot.
+    /// The context's metric snapshot.
     pub metrics: MetricsSnapshot,
     /// Caller-attached document sections (phase summary, allocation
     /// table, …), keyed by section name.
@@ -65,7 +65,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Builds the report skeleton from a drained session. Start offsets
+    /// Builds the report skeleton from a drained context. Start offsets
     /// are re-based so the earliest span starts at 0.
     pub(crate) fn assemble(records: Vec<SpanRecord>, metrics: MetricsSnapshot) -> Self {
         Self {
@@ -105,8 +105,7 @@ impl RunReport {
 }
 
 /// Nests completed records into trees by parent link. Records whose parent
-/// never completed (still open at session end, or closed in an earlier
-/// session) become roots. Sibling order is entry order (span ids are
+/// never completed (still open when the context finished) become roots. Sibling order is entry order (span ids are
 /// assigned at entry).
 fn build_tree(mut records: Vec<SpanRecord>) -> Vec<SpanNode> {
     records.sort_by_key(|r| r.id);

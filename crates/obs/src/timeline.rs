@@ -13,7 +13,7 @@
 //!   counter track (quanta, cumulative units, live heap bytes…).
 //!
 //! Timestamps are microseconds (the format's native unit) re-based to the
-//! session's first span. Emission walks each thread's spans in entry
+//! report's first span. Emission walks each thread's spans in entry
 //! order, closing every slice before its next sibling opens, so B/E pairs
 //! are balanced and properly nested per `tid` by construction —
 //! `report_check` re-validates this on every CI run.

@@ -5,9 +5,9 @@
 //! * a streamed unit is never *silently* wrong — the frame CRC catches
 //!   every flip before the unit reaches the caller, so whatever prefix a
 //!   reader yields matches the original bit-for-bit,
-//! * salvage recovers exactly the units of the chunk frames that are
-//!   fully intact, and re-sealing them (`trace-repair`) round-trips
-//!   bit-identically through the reader,
+//! * after a flip or a truncation, salvage recovers exactly the units of
+//!   the chunk frames that are fully intact, and re-sealing them
+//!   (`trace-repair`) round-trips bit-identically through the reader,
 //! * the same chaos seed produces a bit-identical salvage outcome.
 //!
 //! The expected-recovery oracle walks the *uncorrupted* bytes with
@@ -138,10 +138,31 @@ fn assert_stream_is_honest_prefix(bytes: &[u8], all: &[SamplingUnit]) {
     }
 }
 
+/// Re-seals a salvage under `codec` (`trace-repair`'s rewrite) and
+/// requires the repaired file to be clean and to stream back exactly the
+/// salvaged units.
+fn check_repair(codec: Codec, s: &Salvage) {
+    let mut w = TraceWriter::in_memory_compressed(&s.meta, codec).unwrap();
+    for u in &s.units {
+        w.push(u);
+    }
+    let sealed = w.finish(&s.footer.registry).unwrap();
+    prop_assert_eq!(sealed.unit_count, s.report.recovered_units);
+    let repaired = w.into_bytes();
+    prop_assert!(salvage_bytes(&repaired, "<repaired>").unwrap().report.clean);
+    let mut r = TraceReader::from_reader(Cursor::new(repaired), "<repaired>").unwrap();
+    prop_assert_eq!(r.footer().unwrap().unit_count, s.units.len() as u64);
+    let mut back = Vec::new();
+    while let Some(u) = r.next_unit().unwrap() {
+        back.push(u.clone());
+    }
+    prop_assert_eq!(&back, &s.units);
+}
+
 /// One single-bit flip at `fpos` (mod length): streaming yields an
-/// honest prefix, and salvage recovers exactly the chunks the flip did
-/// not touch. Under LZ the CRC over the *stored* bytes rejects a damaged
-/// frame before the decompressor sees it.
+/// honest prefix, salvage recovers exactly the chunks the flip did not
+/// touch, and the salvage repairs clean. Under LZ the CRC over the
+/// *stored* bytes rejects a damaged frame before the decompressor sees it.
 fn check_flip(codec: Codec, n: u64, chunk: usize, fpos: usize, bit: u32) {
     let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
     let bytes = seal(&all, chunk, codec);
@@ -163,13 +184,13 @@ fn check_flip(codec: Codec, n: u64, chunk: usize, fpos: usize, bit: u32) {
         prop_assert_eq!(&s.units, &expected);
         prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
         prop_assert!(!s.report.clean, "a flipped byte can never leave the file clean");
+        check_repair(codec, &s);
     }
 }
 
 /// One truncation at `tpos` (mod length + 1) — including mid-magic,
 /// mid-frame and pre-footer — salvages exactly the fully intact chunk
-/// prefix, and the salvage re-sealed under the same codec
-/// (`trace-repair`'s rewrite) round-trips bit-identically.
+/// prefix, and the salvage repairs clean.
 fn check_truncation(codec: Codec, n: u64, chunk: usize, tpos: usize) {
     let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
     let bytes = seal(&all, chunk, codec);
@@ -185,20 +206,7 @@ fn check_truncation(codec: Codec, n: u64, chunk: usize, tpos: usize) {
     prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
     prop_assert_eq!(s.report.clean, t == bytes.len());
     prop_assert_eq!(s.report.file_bytes, t as u64);
-
-    let mut w = TraceWriter::in_memory_compressed(&s.meta, codec).unwrap();
-    for u in &s.units {
-        w.push(u);
-    }
-    let sealed = w.finish(&s.footer.registry).unwrap();
-    prop_assert_eq!(sealed.unit_count, s.report.recovered_units);
-    let mut r = TraceReader::from_reader(Cursor::new(w.into_bytes()), "<repaired>").unwrap();
-    prop_assert_eq!(r.footer().unwrap().unit_count, s.units.len() as u64);
-    let mut back = Vec::new();
-    while let Some(u) = r.next_unit().unwrap() {
-        back.push(u.clone());
-    }
-    prop_assert_eq!(back, s.units);
+    check_repair(codec, &s);
 }
 
 proptest! {

@@ -200,7 +200,7 @@ fn worker_main() {
             let _installed = ctx.as_ref().map(simprof_obs::ObsContext::install);
             // Attribute this worker's wall-clock to its own span (and
             // thread id) so timelines show pool activity; one relaxed load
-            // when no obs session is active.
+            // when no obs context is recording.
             let _span = simprof_obs::span!("parallel.worker");
             // The chunk loop inside catches panics itself; `call` never
             // unwinds.
